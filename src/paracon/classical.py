@@ -1,38 +1,85 @@
-"""Classical propositional consequence, decided by valuation search.
+"""Classical propositional consequence, decided by truth tables.
 
 Entailment A |- f is decided semantically: A |- f iff A with ~f has no
-model.  Consequence sets are never materialized; everything is a decision
-procedure over finite premise sets.
+model.  Up to TABLE_VARIABLES distinct variables a formula's models are one
+bitmap over the whole truth table, computed bit-parallel with &, | and
+complement over per-variable row patterns; a premise set is satisfiable iff
+its bitmaps intersect.  Beyond that a backtracking valuation search decides
+satisfiability.  Consequence sets are never materialized; everything is a
+decision procedure over finite premise sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from functools import lru_cache
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .formula import And, Formula, FormulaUniverse, Implies, Not, Or, Var, variables
 
 Valuation = Mapping[str, bool]
 
 
-def evaluate(f: Formula, valuation: Valuation) -> bool:
-    """Truth value of f under a valuation total over variables(f)."""
-    match f:
-        case Var(name):
-            return bool(valuation[name])
-        case Not(child):
-            return not evaluate(child, valuation)
-        case And(left, right):
-            return evaluate(left, valuation) and evaluate(right, valuation)
-        case Or(left, right):
-            return evaluate(left, valuation) or evaluate(right, valuation)
-        case Implies(left, right):
-            return (not evaluate(left, valuation)) or evaluate(right, valuation)
+TABLE_VARIABLES = 16  # above this many variables satisfiability backtracks
+
+
+@lru_cache(maxsize=None)
+def _row_patterns(k: int) -> tuple[int, tuple[int, ...]]:
+    """The all-rows mask and one row pattern per variable of a k-variable table.
+
+    Bit r of pattern i is the value of variable i in row r, where variable 0
+    is the most significant row bit: the row order of
+    itertools.product((False, True), repeat=k).
+    """
+    full = (1 << (1 << k)) - 1
+    patterns = []
+    for i in range(k):
+        half = 1 << (k - 1 - i)
+        # `half` false rows then `half` true rows, repeated down the table
+        period = ((1 << half) - 1) << half
+        patterns.append(period * (full // ((1 << 2 * half) - 1)))
+    return full, tuple(patterns)
+
+
+def _models(f: Formula, pattern: Mapping[str, int], full: int) -> int:
+    """Bitmap of the rows satisfying f, given each variable's row pattern."""
+    # Dispatch on the exact node type: several times faster than `match`.
+    kind = type(f)
+    if kind is Var:
+        return pattern[f.name]
+    if kind is Not:
+        return full ^ _models(f.child, pattern, full)
+    if kind is And:
+        return _models(f.left, pattern, full) & _models(f.right, pattern, full)
+    if kind is Or:
+        return _models(f.left, pattern, full) | _models(f.right, pattern, full)
+    if kind is Implies:
+        return (full ^ _models(f.left, pattern, full)) | _models(f.right, pattern, full)
     raise TypeError(f"not a Formula: {f!r}")
 
 
+def truth_tables(
+    formulas: Iterable[Formula], names: Sequence[str]
+) -> tuple[int, Iterator[int]]:
+    """The all-rows mask and, lazily, each formula's satisfying-rows bitmap.
+
+    The table has one row per valuation of names (which must cover the
+    formulas' variables), with names[0] as the most significant row bit.
+    """
+    full, patterns = _row_patterns(len(names))
+    pattern = dict(zip(names, patterns))
+    return full, (_models(f, pattern, full) for f in formulas)
+
+
+def evaluate(f: Formula, valuation: Valuation) -> bool:
+    """Truth value of f under a valuation total over variables(f)."""
+    pattern = {name: 1 if value else 0 for name, value in valuation.items()}
+    return _models(f, pattern, 1) == 1
+
+
 def _evaluate_partial(f: Formula, valuation: dict[str, bool]) -> Optional[bool]:
-    # Three-valued short-circuit evaluation; None means "not yet decided".
+    # Three-valued short-circuit evaluation for the backtracking search;
+    # None means "not yet decided".
     match f:
         case Var(name):
             return valuation.get(name)
@@ -70,6 +117,18 @@ def is_satisfiable(premises: Iterable[Formula]) -> bool:
     """True iff some valuation satisfies every premise (empty set: True)."""
     formulas = list(premises)
     names = sorted({v for f in formulas for v in variables(f)})
+    if len(names) > TABLE_VARIABLES:
+        return _search(formulas, names)
+    meet, bitmaps = truth_tables(formulas, names)
+    for bits in bitmaps:
+        meet &= bits
+        if not meet:
+            return False
+    return True
+
+
+def _search(formulas: list[Formula], names: list[str]) -> bool:
+    # Backtracking over valuations, pruned by three-valued evaluation.
     valuation: dict[str, bool] = {}
 
     def extend(index: int) -> bool:

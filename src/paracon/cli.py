@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 the query answered yes / the command succeeded, 1 the query
-answered no, 2 usage or parse errors, 3 a resource cap was exceeded.
+answered no, 2 usage or parse errors, 3 a resource cap was exceeded: a size
+cap, or the interpreter's recursion limit on a formula too deep for it
+(parsed formulas stay within MAX_NESTING levels and never reach it).
 """
 
 from __future__ import annotations
@@ -343,6 +345,8 @@ def main(argv=None) -> int:
         return _fail(f"cannot read {exc.filename}", 2)
     except CapExceededError as exc:
         return _fail(str(exc), 3)
+    except RecursionError:
+        return _fail("formula too deep for the interpreter's recursion limit", 3)
     except (ValueError, OSError) as exc:
         return _fail(str(exc), 2)
 

@@ -14,23 +14,24 @@ one inside A and the scan is sound and complete.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
 from .classical import (
+    TABLE_VARIABLES,
     SetClassification,
     entails,
-    evaluate,
     is_contradiction,
     is_satisfiable,
+    truth_tables,
 )
 from .errors import CapExceededError
 from .formula import Formula, FormulaSet, FormulaUniverse, Not, variables
 from .structures import FiniteConsequenceStructure
 
 MCS_CAP = 20
+MEET_TABLE_VARIABLES = 12  # up to this many variables _mcs_masks tables every meet
 
 
 @dataclass(frozen=True)
@@ -80,27 +81,33 @@ def paraconsistentize_finite(
 def _mcs_masks(items: tuple[Formula, ...]) -> tuple[int, ...]:
     n = len(items)
     names = sorted({v for f in items for v in variables(f)})
-    if len(names) <= 12:
-        # Exhaustive truth-table route: one satisfied-valuations bitmap per
-        # premise; a subset is satisfiable iff its bitmaps intersect.
-        valuation_rows = list(itertools.product((False, True), repeat=len(names)))
-        bitmaps = []
-        for f in items:
-            bits = 0
-            for k, values in enumerate(valuation_rows):
-                if evaluate(f, dict(zip(names, values))):
-                    bits |= 1 << k
-            bitmaps.append(bits)
-        meet = [(1 << len(valuation_rows)) - 1] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            meet[mask] = meet[mask ^ low] & bitmaps[low.bit_length() - 1]
+    if len(names) <= TABLE_VARIABLES:
+        # Truth-table route: one satisfying-rows bitmap per premise; a subset
+        # is satisfiable iff its members' bitmaps intersect.
+        full, models = truth_tables(items, names)
+        bitmaps = list(models)
+        if len(names) <= MEET_TABLE_VARIABLES:
+            # Table every subset's intersection, each from a smaller one:
+            # 2**n ints of up to 2**v bits, so only for narrow tables.
+            meet = [full] * (1 << n)
+            for mask in range(1, 1 << n):
+                low = mask & -mask
+                meet[mask] = meet[mask ^ low] & bitmaps[low.bit_length() - 1]
 
-        def satisfiable(mask: int) -> bool:
-            return meet[mask] != 0
+            def satisfiable(mask: int) -> bool:
+                return meet[mask] != 0
+
+        else:
+            # Wider tables: AND the members' bitmaps for each mask tested.
+            def satisfiable(mask: int) -> bool:
+                bits = full
+                for i in range(n):
+                    if mask >> i & 1:
+                        bits &= bitmaps[i]
+                return bits != 0
 
     else:
-
+        # Beyond TABLE_VARIABLES: one backtracking search per mask tested.
         def satisfiable(mask: int) -> bool:
             return is_satisfiable(items[i] for i in range(n) if mask >> i & 1)
 

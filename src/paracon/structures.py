@@ -8,12 +8,11 @@ table, so every verdict comes with a replayable witness or counterexample.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .classical import evaluate
+from .classical import TABLE_VARIABLES, truth_tables
 from .errors import CapExceededError, StructureFormatError
 from .formula import FormulaUniverse, Not, render, variables
 
@@ -284,7 +283,8 @@ def classical_restriction(
     Atoms are rendered formulas; the table entry for A is every universe
     member classically entailed by A.  The negation map sends u to ~u when
     ~u is in the universe, otherwise to the falsum member (so the universe
-    must have been built with the with_falsum closure).
+    must have been built with the with_falsum closure).  The universe may
+    mention at most TABLE_VARIABLES distinct variables.
     """
     if universe.falsum is None:
         raise ValueError("universe must be built with the with_falsum closure")
@@ -294,17 +294,24 @@ def classical_restriction(
         raise CapExceededError(
             f"universe of {n} formulas exceeds the restriction cap of {max_atoms}"
         )
-    labels = [render(f) for f in formulas]
     names = sorted({v for f in formulas for v in variables(f)})
+    if len(names) > TABLE_VARIABLES:
+        raise CapExceededError(
+            f"universe mentions {len(names)} variables, above the truth-table "
+            f"cap of {TABLE_VARIABLES}"
+        )
+    labels = [render(f) for f in formulas]
 
-    # One bitmask of satisfied members per valuation; Cn(A) is then the
-    # intersection of the rows containing A (empty intersection: everything).
+    # One bitmask of satisfied members per valuation, read off the members'
+    # truth tables; Cn(A) is then the intersection of the rows containing A
+    # (empty intersection: everything).
+    all_rows, models = truth_tables(formulas, names)
+    bitmaps = list(models)
     rows = []
-    for values in itertools.product((False, True), repeat=len(names)):
-        valuation = dict(zip(names, values))
+    for k in range(all_rows.bit_length()):
         row = 0
-        for i, f in enumerate(formulas):
-            if evaluate(f, valuation):
+        for i, bits in enumerate(bitmaps):
+            if bits >> k & 1:
                 row |= 1 << i
         rows.append(row)
 

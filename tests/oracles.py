@@ -78,6 +78,25 @@ def oracle_mcs_masks(premises):
     return sorted(maximal, key=lambda m: (-bin(m).count("1"), m))
 
 
+def oracle_mcs_masks_by_rows(premises):
+    """The same list read off the truth table, one valuation row at a time.
+
+    Each row's set of true premises is satisfiable, and every satisfiable set
+    lies inside some row's set, so the MCSes are the maximal row sets.
+    """
+    items = list(premises)
+    together = {
+        sum(1 << i for i, f in enumerate(items) if oracle_eval(f, env))
+        for env in _valuations(items)
+    }
+    maximal = [
+        m
+        for m in together
+        if not any(other != m and other & m == m for other in together)
+    ]
+    return sorted(maximal, key=lambda m: (-bin(m).count("1"), m))
+
+
 class FastParaOracle:
     """Truth-bitmap variant of the literal all-subsets scan, for big pools."""
 
@@ -187,6 +206,24 @@ def relabeled_copy(structure, rng):
     copy = FiniteConsequenceStructure(tuple(ordered), table, negation)
     mapping = {atom: new_labels[i] for i, atom in enumerate(structure.domain)}
     return copy, mapping
+
+
+def oracle_transform_table(structure, inclusive=False):
+    """CnP by its definition, from the source table alone.
+
+    CnP(A) is the union of Cn(A') over the consistent A' (Cn(A') not the
+    whole domain) with A' a subset of A, plus A itself when inclusive.
+    """
+    full = structure.full_mask
+    consistent = [m for m in range(full + 1) if structure.table[m] != full]
+    table = []
+    for mask in range(full + 1):
+        closed = mask if inclusive else 0
+        for sub in consistent:
+            if sub | mask == mask:
+                closed |= structure.table[sub]
+        table.append(closed)
+    return table
 
 
 # ---------------------------------------------------------------------------

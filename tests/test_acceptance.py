@@ -10,6 +10,7 @@ from pathlib import Path
 from oracles import (
     FastParaOracle,
     identity_structure,
+    oracle_transform_table,
     random_closure_structure,
     random_structure,
     reflects_consistency,
@@ -170,6 +171,11 @@ def _check_transform_laws(structure) -> bool:
     full = s.full_mask
     transformed = paraconsistentize_finite(s)
     inclusive = paraconsistentize_finite(s, FunctorOptions(inclusive=True))
+    # both variants agree with CnP's definition read off the source table
+    if list(transformed.table) != oracle_transform_table(s):
+        return False
+    if list(inclusive.table) != oracle_transform_table(s, inclusive=True):
+        return False
     # consistent sets keep their consequences under the transform
     for mask in range(full + 1):
         if s.table[mask] != full and s.table[mask] & ~transformed.table[mask]:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import oracle_satisfiable
+from oracles import oracle_eval, oracle_satisfiable
 from paracon import (
     And,
     FormulaSet,
@@ -22,6 +22,7 @@ from paracon import (
     is_satisfiable,
     is_theorem,
 )
+from paracon.classical import TABLE_VARIABLES, truth_tables
 
 P, Q, R = Var("p"), Var("q"), Var("r")
 FALSUM = And(P, Not(P))
@@ -38,6 +39,13 @@ def test_evaluate_truth_tables():
 def test_evaluate_missing_variable():
     with pytest.raises(KeyError):
         evaluate(And(P, Q), {"p": True})
+
+
+def test_evaluate_rejects_non_formulas():
+    with pytest.raises(TypeError):
+        evaluate("p", {"p": True})
+    with pytest.raises(TypeError):
+        evaluate(And(P, "q"), {"p": True, "q": True})
 
 
 def test_satisfiable_basics():
@@ -93,6 +101,36 @@ formula_strategy = st.recursive(
     ),
     max_leaves=16,
 )
+
+
+def test_truth_table_rows_follow_product_order():
+    # names[0] is the most significant row bit, as in itertools.product
+    names = ["a", "b", "c"]
+    formulas = [Var("a"), Var("c"), Implies(Var("a"), Not(Var("b")))]
+    full, models = truth_tables(formulas, names)
+    rows = [dict(zip(names, v)) for v in itertools.product((False, True), repeat=3)]
+    assert full == (1 << len(rows)) - 1
+    for f, bits in zip(formulas, models):
+        assert [bits >> r & 1 == 1 for r in range(len(rows))] == [
+            oracle_eval(f, env) for env in rows
+        ]
+
+
+def _implication_chain(width):
+    # x0, x0 -> x1, ..., x(width-2) -> x(width-1): width variables, one model
+    xs = [Var(f"x{i}") for i in range(width)]
+    return [xs[0], *(Implies(a, b) for a, b in zip(xs, xs[1:]))], xs[-1]
+
+
+@pytest.mark.parametrize("width", [TABLE_VARIABLES, TABLE_VARIABLES + 1])
+def test_satisfiable_at_the_truth_table_boundary(width):
+    # exactly TABLE_VARIABLES variables take the truth-table route; one more
+    # falls back to the backtracking search
+    chain, last = _implication_chain(width)
+    for premises in (chain, [*chain, Not(last)], [*chain[1:], Not(last)]):
+        assert is_satisfiable(premises) == oracle_satisfiable(premises)
+    assert entails(chain, last)
+    assert not entails(chain[1:], last)
 
 
 @given(st.lists(formula_strategy, max_size=4))

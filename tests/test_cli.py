@@ -69,6 +69,27 @@ def test_entail_bad_premises_file_exits_2(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("op", ["&", "|"])
+def test_entail_rejects_a_3000_term_chain_with_exit_2(tmp_path, capsys, op):
+    path = tmp_path / "chain.txt"
+    path.write_text(f" {op} ".join(["p"] * 3000) + "\n", encoding="utf-8")
+    for flags in ([], ["--para"]):
+        code, out, err = run(capsys, "entail", str(path), "p", *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 1: formula nesting exceeds")
+        assert "Traceback" not in err
+
+
+def test_recursion_limit_exits_3_not_no(pair_file, capsys, monkeypatch):
+    def too_deep(premises, conclusion):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("paracon.cli.entails", too_deep)
+    code, out, err = run(capsys, "entail", pair_file, "q")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: formula too deep")
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "entail", "/nonexistent/premises.txt", "q")
     assert code == 2

@@ -21,6 +21,7 @@ from paracon import (
     subformulas,
     variables,
 )
+from paracon.formula import MAX_NESTING
 
 P, Q, R = Var("p"), Var("q"), Var("r")
 
@@ -168,6 +169,18 @@ def test_parser_caps_hostile_nesting():
     for text in ("~" * 5000 + "p", "(" * 3000 + "p" + ")" * 3000, "p" + " -> p" * 4000):
         with pytest.raises(ParseError) as excinfo:
             parse(text)
+        assert "nesting" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("op", ["&", "|"])
+def test_parser_counts_chain_links_as_nesting(op):
+    # a left-associative chain of n terms is a tree n - 1 levels deep
+    longest = parse(f" {op} ".join(["p"] * (MAX_NESTING + 1)))
+    assert parse(render(longest)) == longest
+    assert variables(longest) == {"p"}
+    for terms in (MAX_NESTING + 2, 3000):
+        with pytest.raises(ParseError) as excinfo:
+            parse(f" {op} ".join(["p"] * terms))
         assert "nesting" in str(excinfo.value)
 
 

@@ -5,6 +5,7 @@ import pytest
 from oracles import (
     identity_structure,
     oracle_mcs_masks,
+    oracle_mcs_masks_by_rows,
     oracle_para_entails,
     random_closure_structure,
     random_structure,
@@ -165,6 +166,32 @@ def test_mcs_matches_oracle_order():
             for mask in want_masks
         ]
         assert got == want
+
+
+@pytest.mark.parametrize("width", [12, 13, 16, 17])
+def test_mcs_at_the_truth_table_boundaries(width):
+    # up to 12 variables every subset's meet is tabled, 13-16 intersect the
+    # members' bitmaps per mask, above 16 each mask is a backtracking search
+    xs = [Var(f"x{i:02}") for i in range(width)]
+    everything = xs[0]
+    for x in xs[1:]:
+        everything = And(everything, x)
+    premises = FormulaSet(
+        [
+            everything,
+            Not(xs[0]),
+            Not(xs[1]),
+            Or(xs[0], xs[1]),
+            Or(Not(xs[0]), Not(xs[1])),
+            Implies(xs[2], Not(xs[-1])),
+        ]
+    )
+    want = [
+        FormulaSet(premises.items[i] for i in range(len(premises)) if mask >> i & 1)
+        for mask in oracle_mcs_masks_by_rows(premises.items)
+    ]
+    assert len(want) > 2
+    assert maximal_consistent_subsets(premises) == want
 
 
 def test_mcs_cap():

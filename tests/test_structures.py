@@ -10,6 +10,7 @@ from oracles import (
     relabeled_copy,
 )
 from paracon import (
+    And,
     CapExceededError,
     FiniteConsequenceStructure,
     HomomorphismCandidate,
@@ -303,6 +304,14 @@ def test_restriction_size_cap():
     u = build_universe(seed, ("negations", "with_falsum"))
     with pytest.raises(CapExceededError):
         classical_restriction(u)
+
+
+def test_restriction_variable_cap():
+    wide = Var("x0")
+    for i in range(1, 17):
+        wide = And(wide, Var(f"x{i}"))
+    with pytest.raises(CapExceededError):
+        classical_restriction(build_universe([wide], ("with_falsum",)))
 
 
 # -- file format ----------------------------------------------------------------
