@@ -142,8 +142,9 @@ def _report_line(report: structures.AxiomReport) -> str:
 
 def _cmd_structure_check(args, structure) -> int:
     reports = [structures.check_axiom(structure, axiom) for axiom in structures.AXIOMS]
+    normal = all(r.holds for r in reports if r.name in structures.NORMAL_AXIOMS)
     lines = [_report_line(r) for r in reports]
-    lines.append(f"normal: {'yes' if structures.is_normal(structure) else 'no'}")
+    lines.append(f"normal: {'yes' if normal else 'no'}")
     if structure.negation is not None:
         extra = [
             structures.check_explosive(structure),
@@ -158,7 +159,7 @@ def _cmd_structure_check(args, structure) -> int:
         args,
         {
             "command": "structure check",
-            "normal": structures.is_normal(structure),
+            "normal": normal,
             "reports": [
                 {
                     "name": r.name,

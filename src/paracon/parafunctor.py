@@ -5,11 +5,11 @@ The transform replaces a consequence operator Cn by
     CnP(A) = union of Cn(A') over the consistent subsets A' of A
 
 so contradictory premise sets stop entailing everything.  On finite
-structures the union is enumerated literally.  For classical logic the
-derived entailment relation A |-P f ("some consistent subset of A entails
-f") is decided by scanning maximal consistent subsets: classical
-entailment is monotone, so every consistent subset extends to a maximal
-one inside A and the scan is sound and complete.
+structures the union is one sum-over-subsets sweep of the table (n * 2**n
+steps).  For classical logic the derived entailment relation A |-P f ("some
+consistent subset of A entails f") is decided by scanning maximal consistent
+subsets: classical entailment is monotone, so every consistent subset extends
+to a maximal one inside A and the scan is sound and complete.
 """
 
 from __future__ import annotations
@@ -52,7 +52,11 @@ def paraconsistentize_finite(
     structure: FiniteConsequenceStructure,
     options: FunctorOptions = FunctorOptions(),
 ) -> FiniteConsequenceStructure:
-    """Apply the transform to a finite structure by literal enumeration.
+    """Apply the transform to a finite structure as a sum over subsets.
+
+    Each atom's sweep ORs a subset's running union of consistent
+    consequences into the subset one atom larger: n * 2**n steps.  Only the
+    table is read, so any table, closure operator or not, gets CnP as defined.
 
     Homomorphisms (injective maps h with h(Cn(A)) == Cn'(h(A))): every h
     that reflects consistency (h(A) consistent implies A consistent) stays a
@@ -62,18 +66,14 @@ def paraconsistentize_finite(
     the whole domain; proper injections can fail this.
     """
     full = structure.full_mask
-    table = []
-    for mask in range(full + 1):
-        closed = mask if options.inclusive else 0
-        sub = mask
-        while True:
-            value = structure.table[sub]
-            if value != full:
-                closed |= value
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        table.append(closed)
+    table = [0 if value == full else value for value in structure.table]
+    for i in range(structure.n_atoms):
+        bit = 1 << i
+        for mask in range(full + 1):
+            if mask & bit:
+                table[mask] |= table[mask ^ bit]
+    if options.inclusive:
+        table = [value | mask for mask, value in enumerate(table)]
     return FiniteConsequenceStructure(structure.domain, table, structure.negation)
 
 

@@ -130,6 +130,7 @@ class AxiomReport:
 
 
 AXIOMS = ("inclusion", "idempotency", "monotonicity", "finiteness")
+NORMAL_AXIOMS = AXIOMS[:3]
 
 
 def check_axiom(structure: FiniteConsequenceStructure, which: str) -> AxiomReport:
@@ -167,10 +168,7 @@ def check_axiom(structure: FiniteConsequenceStructure, which: str) -> AxiomRepor
 
 def is_normal(structure: FiniteConsequenceStructure) -> bool:
     """Inclusion, idempotency and monotonicity all hold."""
-    return all(
-        check_axiom(structure, axiom).holds
-        for axiom in ("inclusion", "idempotency", "monotonicity")
-    )
+    return all(check_axiom(structure, axiom).holds for axiom in NORMAL_AXIOMS)
 
 
 @dataclass(frozen=True)
@@ -203,15 +201,14 @@ def check_homomorphism(candidate: HomomorphismCandidate) -> AxiomReport:
             )
         seen[image] = atom
 
-    def image_mask(mask: int) -> int:
-        out = 0
-        for i in range(src.n_atoms):
-            if mask >> i & 1:
-                out |= 1 << images[i]
-        return out
+    # Every subset's image, each from the subset without its lowest atom.
+    image = [0] * (1 << src.n_atoms)
+    for mask in range(1, 1 << src.n_atoms):
+        low = mask & -mask
+        image[mask] = image[mask ^ low] | 1 << images[low.bit_length() - 1]
 
     for mask in range(1 << src.n_atoms):
-        if image_mask(src.table[mask]) != tgt.table[image_mask(mask)]:
+        if image[src.table[mask]] != tgt.table[image[mask]]:
             return AxiomReport(
                 "homomorphism",
                 False,
@@ -348,12 +345,22 @@ def classical_restriction(
 def dumps(structure: FiniteConsequenceStructure) -> str:
     S = structure
     lines = ["{", f'  "domain": {json.dumps(list(S.domain))},', '  "cn": [']
-    entries = []
-    for mask in range(1 << S.n_atoms):
-        subset = json.dumps(sorted(S.labels_of(mask)))
-        value = json.dumps(sorted(S.labels_of(S.table[mask])))
-        entries.append(f"    [{subset}, {value}]")
-    lines.append(",\n".join(entries))
+    # Every subset's sorted label list, each from the subset without its
+    # largest label: atoms join in label order, so each one goes last.
+    texts = [""] * (1 << S.n_atoms)
+    done = [0]
+    for i in sorted(range(S.n_atoms), key=S.domain.__getitem__):
+        label = json.dumps(S.domain[i])
+        grown = [mask | 1 << i for mask in done]
+        for mask, bigger in zip(done, grown):
+            texts[bigger] = f"{texts[mask]}, {label}" if mask else label
+        done += grown
+    names = [f"[{text}]" for text in texts]
+    lines.append(
+        ",\n".join(
+            f"    [{names[mask]}, {names[value]}]" for mask, value in enumerate(S.table)
+        )
+    )
     if S.negation is not None:
         lines.append("  ],")
         lines.append('  "negation": [')

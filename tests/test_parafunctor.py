@@ -1,12 +1,15 @@
+import itertools
 import random
 
 import pytest
 
 from oracles import (
+    LETTERS,
     identity_structure,
     oracle_mcs_masks,
     oracle_mcs_masks_by_rows,
     oracle_para_entails,
+    oracle_transform_table,
     random_closure_structure,
     random_structure,
 )
@@ -122,6 +125,73 @@ def test_transform_on_restriction_is_idempotent():
     s = classical_restriction(u)
     once = paraconsistentize_finite(s)
     assert paraconsistentize_finite(once) == once
+
+
+def _assert_transform_matches_definition(s):
+    for inclusive in (False, True):
+        p = paraconsistentize_finite(s, FunctorOptions(inclusive=inclusive))
+        assert list(p.table) == oracle_transform_table(s, inclusive), (s.table, inclusive)
+
+
+def test_transform_matches_its_definition_on_every_table_up_to_two_atoms():
+    # All 4 + 256 tables, closure operators or not; Cn(empty) may be the
+    # whole domain.
+    for n in (1, 2):
+        size = 1 << n
+        for table in itertools.product(range(size), repeat=size):
+            _assert_transform_matches_definition(
+                FiniteConsequenceStructure(LETTERS[:n], table)
+            )
+
+
+def _closure_systems(n):
+    """Every intersection-closed family of subsets of n atoms holding the full set.
+
+    Adding a set X to such a family F and closing gives F plus every X & m
+    for m in F, so a search from {full} by single additions reaches them all.
+    """
+    full = (1 << n) - 1
+    seen = {frozenset([full])}
+    todo = list(seen)
+    while todo:
+        family = todo.pop()
+        for extra in range(full):
+            if extra not in family:
+                grown = family | {extra & m for m in family}
+                if grown not in seen:
+                    seen.add(grown)
+                    todo.append(grown)
+    return seen
+
+
+def test_transform_matches_its_definition_on_every_closure_system():
+    for n, count in ((3, 61), (4, 2480)):
+        systems = _closure_systems(n)
+        assert len(systems) == count
+        for family in systems:
+            # Cn(A) is the least member of the family containing A.
+            table = [
+                min((m for m in family if m & mask == mask), key=int.bit_count)
+                for mask in range(1 << n)
+            ]
+            _assert_transform_matches_definition(
+                FiniteConsequenceStructure(LETTERS[:n], table)
+            )
+
+
+def test_transform_matches_its_definition_on_random_tables():
+    rng = random.Random(51)
+    for n in range(5, 11):
+        full = (1 << n) - 1
+        for _ in range(2):
+            # A quarter of the entries inconsistent, so the filter matters.
+            table = [
+                full if rng.random() < 0.25 else rng.randrange(full + 1)
+                for _ in range(full + 1)
+            ]
+            _assert_transform_matches_definition(
+                FiniteConsequenceStructure(LETTERS[:n], table)
+            )
 
 
 # -- maximal consistent subsets ---------------------------------------------------

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from oracles import (
+    LETTERS,
+    _image_mask,
     identity_structure,
     oracle_satisfiable,
     random_closure_structure,
@@ -191,6 +193,58 @@ def test_homomorphisms_compose():
         assert check_homomorphism(HomomorphismCandidate(s1, s3, comp)).holds
 
 
+def _literal_homomorphism_verdict(candidate):
+    """(holds, counterexample, note) read off the definition, atom by atom."""
+    src, tgt = candidate.source, candidate.target
+    hit = {}
+    for atom in src.domain:
+        image = candidate.mapping[atom]
+        if image in hit:
+            return False, (hit[image], atom), "not injective"
+        hit[image] = atom
+    for mask in range(src.full_mask + 1):
+        if _image_mask(candidate, src.table[mask]) != tgt.table[
+            _image_mask(candidate, mask)
+        ]:
+            return False, (src.labels_of(mask),), "consequence square does not commute"
+    return True, None, ""
+
+
+def test_homomorphism_counterexample_is_the_first_failing_subset():
+    rng = random.Random(31)
+    kinds = {"holds": 0, "not injective": 0, "consequence square does not commute": 0}
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        m = rng.randint(n, 5)
+        source = random_structure(rng, n)
+        labels = list(LETTERS[:m])
+        rng.shuffle(labels)
+        if rng.random() < 0.2:
+            mapping = {a: rng.choice(labels) for a in source.domain}
+        else:
+            mapping = dict(zip(source.domain, rng.sample(labels, n)))
+        # A target where the square commutes, then a few entries broken, so
+        # the first failure falls on varied subsets.
+        table = [rng.randrange(1 << m) for _ in range(1 << m)]
+        if len(set(mapping.values())) == n:
+
+            def image(mask):
+                return sum(1 << labels.index(mapping[a]) for a in source.labels_of(mask))
+
+            for mask in range(1 << n):
+                table[image(mask)] = image(source.table[mask])
+            for _ in range(rng.randint(0, 2)):
+                table[rng.randrange(1 << m)] = rng.randrange(1 << m)
+        candidate = HomomorphismCandidate(
+            source, FiniteConsequenceStructure(labels, table), mapping
+        )
+        report = check_homomorphism(candidate)
+        expected = _literal_homomorphism_verdict(candidate)
+        assert (report.holds, report.counterexample, report.note) == expected
+        kinds[expected[2] or "holds"] += 1
+    assert min(kinds.values()) >= 30, kinds
+
+
 # -- negation-law checks --------------------------------------------------------
 
 
@@ -328,6 +382,34 @@ def test_round_trip_bytes_exact(tmp_path):
         path = tmp_path / f"s{i}.json"
         save_structure(s, path)
         assert load_structure(path) == s
+
+
+def test_dumps_text_is_pinned():
+    # Domain order is not sorted order, and the labels need JSON escaping.
+    s = FiniteConsequenceStructure(
+        ("z\u00e9", 'a"b', "m"),
+        (0b000, 0b011, 0b010, 0b111, 0b100, 0b101, 0b110, 0b111),
+        {"z\u00e9": "m", 'a"b': "z\u00e9", "m": 'a"b'},
+    )
+    assert dumps_structure(s) == r"""{
+  "domain": ["z\u00e9", "a\"b", "m"],
+  "cn": [
+    [[], []],
+    [["z\u00e9"], ["a\"b", "z\u00e9"]],
+    [["a\"b"], ["a\"b"]],
+    [["a\"b", "z\u00e9"], ["a\"b", "m", "z\u00e9"]],
+    [["m"], ["m"]],
+    [["m", "z\u00e9"], ["m", "z\u00e9"]],
+    [["a\"b", "m"], ["a\"b", "m"]],
+    [["a\"b", "m", "z\u00e9"], ["a\"b", "m", "z\u00e9"]]
+  ],
+  "negation": [
+    ["a\"b", "z\u00e9"],
+    ["m", "a\"b"],
+    ["z\u00e9", "m"]
+  ]
+}
+"""
 
 
 def test_load_accepts_scrambled_entry_order():
