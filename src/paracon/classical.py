@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .formula import And, Formula, FormulaUniverse, Implies, Not, Or, Var, variables
 
@@ -180,28 +180,38 @@ def classify(
     strongly contradictory: some candidate contradiction a has A |- a;
     paraconsistent: consistent and contradictory (never both, classically).
     """
+    premise_list = list(premises)
+    return classify_by(
+        candidates,
+        lambda: is_satisfiable(premise_list),
+        lambda a: entails(premise_list, a),
+    )
+
+
+def classify_by(
+    candidates: FormulaUniverse,
+    consistent: Callable[[], bool],
+    derives: Callable[[Formula], bool],
+) -> SetClassification:
+    """Classify a premise set given its consistency test and derivability test.
+
+    The witness is the first contradictory candidate (a and ~a both
+    derivable), or else the first derivable contradiction.
+    """
     if len(candidates) == 0:
         raise ValueError("candidate universe must be non-empty")
-    premise_list = list(premises)
-    consistent = is_satisfiable(premise_list)
-
-    contradictory_witness = None
-    for a in candidates:
-        if entails(premise_list, a) and entails(premise_list, Not(a)):
-            contradictory_witness = a
-            break
-
-    strong_witness = None
-    for a in candidates:
-        if is_contradiction(a) and entails(premise_list, a):
-            strong_witness = a
-            break
-
+    is_consistent = consistent()
+    contradictory_witness = next(
+        (a for a in candidates if derives(a) and derives(Not(a))), None
+    )
+    strong_witness = next(
+        (a for a in candidates if is_contradiction(a) and derives(a)), None
+    )
     contradictory = contradictory_witness is not None
     return SetClassification(
-        consistent=consistent,
+        consistent=is_consistent,
         contradictory=contradictory,
         strongly_contradictory=strong_witness is not None,
-        paraconsistent=consistent and contradictory,
+        paraconsistent=is_consistent and contradictory,
         witness=contradictory_witness if contradictory else strong_witness,
     )

@@ -236,7 +236,9 @@ def _cmd_structure(args) -> int:
 
 def _cmd_verify_table(args) -> int:
     if args.trials < 1:
-        return _fail("a confirmation needs at least one trial (got --trials 0)", 2)
+        return _fail(
+            f"a confirmation needs at least one trial (got --trials {args.trials})", 2
+        )
     rows = propsuite.verify_table(seed=args.seed, trials=args.trials)
     matches = propsuite.table_matches_expected(rows)
     _emit(

@@ -21,13 +21,13 @@ from typing import Iterable, Optional
 from .classical import (
     TABLE_VARIABLES,
     SetClassification,
+    classify_by,
     entails,
-    is_contradiction,
     is_satisfiable,
     truth_tables,
 )
 from .errors import CapExceededError
-from .formula import Formula, FormulaSet, FormulaUniverse, Not, variables
+from .formula import Formula, FormulaSet, FormulaUniverse, variables
 from .structures import FiniteConsequenceStructure
 
 MCS_CAP = 20
@@ -155,28 +155,11 @@ def para_classify(
     Consistency is the finite-universe surrogate: some candidate must not be
     |-P-derivable (a stand-in for the consequence set being proper).
     """
-    if len(candidates) == 0:
-        raise ValueError("candidate universe must be non-empty")
     premise_set = FormulaSet(premises)
-    consistent = any(para_entails(premise_set, f) is None for f in candidates)
 
-    contradictory_witness = None
-    for a in candidates:
-        if para_entails(premise_set, a) and para_entails(premise_set, Not(a)):
-            contradictory_witness = a
-            break
+    def derives(f: Formula) -> bool:
+        return para_entails(premise_set, f) is not None
 
-    strong_witness = None
-    for a in candidates:
-        if is_contradiction(a) and para_entails(premise_set, a):
-            strong_witness = a
-            break
-
-    contradictory = contradictory_witness is not None
-    return SetClassification(
-        consistent=consistent,
-        contradictory=contradictory,
-        strongly_contradictory=strong_witness is not None,
-        paraconsistent=consistent and contradictory,
-        witness=contradictory_witness if contradictory else strong_witness,
+    return classify_by(
+        candidates, lambda: not all(derives(f) for f in candidates), derives
     )

@@ -5,13 +5,16 @@ directed named instances; failures are established by replaying concrete
 counterexamples through the public operations.  Nothing here is a proof:
 the suite is a regression detector, and every verdict carries replayable
 evidence and a trial count (a confirmation with zero trials is forbidden).
+Each law the two relations share is written once, against a `Relation`
+record, and run under both |- and |-P.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .classical import (
     classify,
@@ -198,74 +201,173 @@ def _render_violation(evidence: dict) -> str:
     return "; ".join(f"{key}={value}" for key, value in evidence.items())
 
 
+class Relation(NamedTuple):
+    """A consequence relation as the law trials read it: |- or |-P."""
+
+    name: str  # as violation evidence names it
+    label: str  # RNG label suffix of its trials
+    derives: Callable[[Iterable[Formula], Formula], bool]
+    consequence_of: Callable[[FormulaSampler, FormulaSet], Formula]
+
+
+# The lambdas look `entails` and `para_entails` up at call time, so
+# replacing the module attributes (as a tracer does) still sees every call.
+CLASSICAL = Relation(
+    "classical", "cn", lambda A, f: entails(A, f), FormulaSampler.consequence_of
+)
+PARA = Relation(
+    "para",
+    "cnp",
+    lambda A, f: para_entails(A, f) is not None,
+    FormulaSampler.para_consequence_of,
+)
+
+
+# ---------------------------------------------------------------------------
+# Laws, each written once against a relation
+
+
+def _finiteness_trial(s: FormulaSampler, rel: Relation):
+    premises = s.premise_set()
+    conclusion = rel.consequence_of(s, premises)
+    if not rel.derives(premises, conclusion):
+        return {"A": premises.render(), "f": _r(conclusion), "lost": rel.name}
+    # A itself, or for |-P the witness support, is a finite support
+    return True
+
+
+def _monotonicity_trial(s: FormulaSampler, rel: Relation):
+    larger = s.premise_set(min_size=1)
+    smaller = s.subset_of(larger)
+    conclusion = rel.consequence_of(s, smaller)
+    if not rel.derives(smaller, conclusion):
+        return None
+    if rel.derives(larger, conclusion):
+        return True
+    return {"A": smaller.render(), "B": larger.render(), "f": _r(conclusion)}
+
+
+def _weak_transitivity_trial(s: FormulaSampler, rel: Relation):
+    premises = s.premise_set()
+    middle = rel.consequence_of(s, premises)
+    conclusion = rel.consequence_of(s, FormulaSet([middle]))
+    if not (rel.derives(premises, middle) and rel.derives([middle], conclusion)):
+        return None
+    if rel.derives(premises, conclusion):
+        return True
+    return {"A": premises.render(), "b": _r(middle), "c": _r(conclusion)}
+
+
+def _deduction_trial(s: FormulaSampler, rel: Relation):
+    premises = s.premise_set()
+    extra = s.formula()
+    extended = FormulaSet([*premises, extra])
+    conclusion = rel.consequence_of(s, extended)
+    if not rel.derives(extended, conclusion):
+        return None
+    if rel.derives(premises, Implies(extra, conclusion)):
+        return True
+    return {"A": premises.render(), "a": _r(extra), "b": _r(conclusion)}
+
+
+def _contradiction_trial(s: FormulaSampler, key: str = "derived contradiction"):
+    # No premise set |-P-derives a contradiction, so none derives everything.
+    premises = s.premise_set()
+    blocked = s.contradiction()
+    if not PARA.derives(premises, blocked):
+        return True
+    return {"A": premises.render(), key: _r(blocked)}
+
+
+def _chain_trial(s: FormulaSampler):
+    # A derives every member of B, B derives c; the law demands A derives c.
+    premises = s.premise_set()
+    middle = FormulaSet(s.consequence_of(premises) for _ in range(s.rng.randint(1, 3)))
+    if any(not entails(premises, b) for b in middle):
+        return None
+    conclusion = s.consequence_of(middle)
+    if not entails(middle, conclusion):
+        return None
+    if entails(premises, conclusion):
+        return True
+    return {"A": premises.render(), "B": middle.render(), "c": _r(conclusion)}
+
+
+def _transitivity_counterexample() -> bool:
+    """Replay the paraclassical transitivity failure; True when it replays."""
+    a_set = FormulaSet([P, Not(P)])
+    b_set = FormulaSet([Or(P, Q), Not(P)])
+    return (
+        para_entails(a_set, Or(P, Q)) is not None
+        and para_entails(a_set, Not(P)) is not None
+        and para_entails(b_set, Q) is not None
+        and para_entails(a_set, Q) is None
+    )
+
+
+def _deduction_converse_fails() -> bool:
+    """Replay {q} |-P (p & ~p) -> (p & ~p) while {q, p & ~p} lacks p & ~p."""
+    return (
+        para_entails([Q], Implies(FALSUM, FALSUM)) is not None
+        and para_entails([Q, FALSUM], FALSUM) is None
+    )
+
+
 # ---------------------------------------------------------------------------
 # Table rows
 
 
+def _law_row(
+    name: str,
+    seed: int,
+    trials: int,
+    trial: Callable[[FormulaSampler, Relation], Optional[bool | dict]],
+    evidence: str,
+    instance: Callable[[], bool] = lambda: True,
+    instance_failure: Optional[dict] = None,
+) -> TableRow:
+    """Run a law's trials under |- and then |-P; the |-P verdict also needs
+    the directed instance, replayed after the trials, to hold.
+
+    `evidence` is a template whose {trials} field receives both counts.
+    """
+    (n_cn, v_cn), (n_cnp, v_cnp) = [
+        _run_trials(seed, f"{name}:{rel.label}", trials, partial(trial, rel=rel))
+        for rel in (CLASSICAL, PARA)
+    ]
+    instance_ok = instance()
+    text = evidence.format(trials=f"{n_cn}+{n_cnp}")
+    if v_cn or v_cnp or not instance_ok:
+        text = _render_violation(v_cn or v_cnp or instance_failure)
+    return TableRow(name, v_cn is None, v_cnp is None and instance_ok, text)
+
+
 def _row_finiteness(seed: int, trials: int) -> TableRow:
-    def trial_cn(s: FormulaSampler):
-        premises = s.premise_set()
-        conclusion = s.consequence_of(premises)
-        if not entails(premises, conclusion):
-            return {"A": premises.render(), "f": _r(conclusion), "lost": "classical"}
-        return True  # the finite set A itself supports the consequence
-
-    def trial_cnp(s: FormulaSampler):
-        premises = s.premise_set()
-        conclusion = s.para_consequence_of(premises)
-        witness = para_entails(premises, conclusion)
-        if witness is None:
-            return {"A": premises.render(), "f": _r(conclusion), "lost": "para"}
-        return True  # the witness support is a finite subset by construction
-
-    n_cn, v_cn = _run_trials(seed, "finiteness:cn", trials, trial_cn)
-    n_cnp, v_cnp = _run_trials(seed, "finiteness:cnp", trials, trial_cnp)
-    evidence = (
-        f"finite supports found for every sampled consequence "
-        f"({n_cn}+{n_cnp} trials; vacuous at finite scale)"
+    return _law_row(
+        "finiteness",
+        seed,
+        trials,
+        _finiteness_trial,
+        "finite supports found for every sampled consequence "
+        "({trials} trials; vacuous at finite scale)",
     )
-    if v_cn or v_cnp:
-        evidence = _render_violation(v_cn or v_cnp)
-    return TableRow("finiteness", v_cn is None, v_cnp is None, evidence)
 
 
 def _row_monotonicity(seed: int, trials: int) -> TableRow:
-    def trial_cn(s: FormulaSampler):
-        larger = s.premise_set(min_size=1)
-        smaller = s.subset_of(larger)
-        conclusion = s.consequence_of(smaller)
-        if not entails(smaller, conclusion):
-            return None
-        if entails(larger, conclusion):
-            return True
-        return {"A": smaller.render(), "B": larger.render(), "f": _r(conclusion)}
-
-    def trial_cnp(s: FormulaSampler):
-        larger = s.premise_set(min_size=1)
-        smaller = s.subset_of(larger)
-        conclusion = s.para_consequence_of(smaller)
-        if para_entails(smaller, conclusion) is None:
-            return None
-        if para_entails(larger, conclusion) is not None:
-            return True
-        return {"A": smaller.render(), "B": larger.render(), "f": _r(conclusion)}
-
-    n_cn, v_cn = _run_trials(seed, "monotonicity:cn", trials, trial_cn)
-    n_cnp, v_cnp = _run_trials(seed, "monotonicity:cnp", trials, trial_cnp)
-    instance_ok = (
-        entails([P], Or(P, Q))
-        and entails([P, Not(P)], Or(P, Q))
-        and para_entails([P], Or(P, Q)) is not None
-        and para_entails([P, Not(P)], Or(P, Q)) is not None
-    )
-    evidence = (
-        f"preserved under premise growth in {n_cn}+{n_cnp} trials; "
-        f"instance {{p}} into {{p, ~p}} keeps p | q"
-    )
-    if v_cn or v_cnp or not instance_ok:
-        evidence = _render_violation(v_cn or v_cnp or {"instance": "failed"})
-    return TableRow(
-        "monotonicity", v_cn is None, v_cnp is None and instance_ok, evidence
+    return _law_row(
+        "monotonicity",
+        seed,
+        trials,
+        _monotonicity_trial,
+        "preserved under premise growth in {trials} trials; "
+        "instance {{p}} into {{p, ~p}} keeps p | q",
+        lambda: (
+            entails([P], Or(P, Q))
+            and entails([P, Not(P)], Or(P, Q))
+            and para_entails([P], Or(P, Q)) is not None
+            and para_entails([P, Not(P)], Or(P, Q)) is not None
+        ),
+        {"instance": "failed"},
     )
 
 
@@ -289,50 +391,8 @@ def _row_inclusion(seed: int, trials: int) -> TableRow:
     return TableRow("inclusion", v_cn is None, not counterexample_replays, evidence)
 
 
-def _chain_trial(s: FormulaSampler, para: bool):
-    # A derives every member of B, B derives c; the law demands A derives c.
-    premises = s.premise_set()
-    if para:
-        middle = FormulaSet(
-            s.para_consequence_of(premises) for _ in range(s.rng.randint(1, 3))
-        )
-        if any(para_entails(premises, b) is None for b in middle):
-            return None
-        conclusion = s.para_consequence_of(middle)
-        if para_entails(middle, conclusion) is None:
-            return None
-        if para_entails(premises, conclusion) is not None:
-            return True
-    else:
-        middle = FormulaSet(
-            s.consequence_of(premises) for _ in range(s.rng.randint(1, 3))
-        )
-        if any(not entails(premises, b) for b in middle):
-            return None
-        conclusion = s.consequence_of(middle)
-        if not entails(middle, conclusion):
-            return None
-        if entails(premises, conclusion):
-            return True
-    return {"A": premises.render(), "B": middle.render(), "c": _r(conclusion)}
-
-
-def _transitivity_counterexample() -> bool:
-    """Replay the paraclassical transitivity failure; True when it replays."""
-    a_set = FormulaSet([P, Not(P)])
-    b_set = FormulaSet([Or(P, Q), Not(P)])
-    return (
-        para_entails(a_set, Or(P, Q)) is not None
-        and para_entails(a_set, Not(P)) is not None
-        and para_entails(b_set, Q) is not None
-        and para_entails(a_set, Q) is None
-    )
-
-
 def _row_idempotency(seed: int, trials: int) -> TableRow:
-    n_cn, v_cn = _run_trials(
-        seed, "idempotency:cn", trials, lambda s: _chain_trial(s, para=False)
-    )
+    n_cn, v_cn = _run_trials(seed, "idempotency:cn", trials, _chain_trial)
     counterexample_replays = _transitivity_counterexample()
     evidence = (
         f"classical: consequence chains stay closed in {n_cn} trials; "
@@ -345,9 +405,7 @@ def _row_idempotency(seed: int, trials: int) -> TableRow:
 
 
 def _row_transitivity(seed: int, trials: int) -> TableRow:
-    n_cn, v_cn = _run_trials(
-        seed, "transitivity:cn", trials, lambda s: _chain_trial(s, para=False)
-    )
+    n_cn, v_cn = _run_trials(seed, "transitivity:cn", trials, _chain_trial)
     counterexample_replays = _transitivity_counterexample()
     evidence = (
         f"classical: holds in {n_cn} trials; "
@@ -359,88 +417,34 @@ def _row_transitivity(seed: int, trials: int) -> TableRow:
 
 
 def _row_weak_transitivity(seed: int, trials: int) -> TableRow:
-    def trial_cn(s: FormulaSampler):
-        premises = s.premise_set()
-        middle = s.consequence_of(premises)
-        conclusion = s.consequence_of(FormulaSet([middle]))
-        if not (entails(premises, middle) and entails([middle], conclusion)):
-            return None
-        if entails(premises, conclusion):
-            return True
-        return {"A": premises.render(), "b": _r(middle), "c": _r(conclusion)}
-
-    def trial_cnp(s: FormulaSampler):
-        premises = s.premise_set()
-        middle = s.para_consequence_of(premises)
-        conclusion = s.para_consequence_of(FormulaSet([middle]))
-        if para_entails(premises, middle) is None:
-            return None
-        if para_entails([middle], conclusion) is None:
-            return None
-        if para_entails(premises, conclusion) is not None:
-            return True
-        return {"A": premises.render(), "b": _r(middle), "c": _r(conclusion)}
-
-    n_cn, v_cn = _run_trials(seed, "weak transitivity:cn", trials, trial_cn)
-    n_cnp, v_cnp = _run_trials(seed, "weak transitivity:cnp", trials, trial_cnp)
-    evidence = f"single-formula middle steps compose in {n_cn}+{n_cnp} trials"
-    if v_cn or v_cnp:
-        evidence = _render_violation(v_cn or v_cnp)
-    return TableRow("weak transitivity", v_cn is None, v_cnp is None, evidence)
+    return _law_row(
+        "weak transitivity",
+        seed,
+        trials,
+        _weak_transitivity_trial,
+        "single-formula middle steps compose in {trials} trials",
+    )
 
 
 def _row_deduction(seed: int, trials: int) -> TableRow:
-    def trial_cn(s: FormulaSampler):
-        premises = s.premise_set()
-        extra = s.formula()
-        extended = FormulaSet([*premises, extra])
-        conclusion = s.consequence_of(extended)
-        if not entails(extended, conclusion):
-            return None
-        if entails(premises, Implies(extra, conclusion)):
-            return True
-        return {"A": premises.render(), "a": _r(extra), "b": _r(conclusion)}
-
-    def trial_cnp(s: FormulaSampler):
-        premises = s.premise_set()
-        extra = s.formula()
-        extended = FormulaSet([*premises, extra])
-        conclusion = s.para_consequence_of(extended)
-        if para_entails(extended, conclusion) is None:
-            return None
-        if para_entails(premises, Implies(extra, conclusion)) is not None:
-            return True
-        return {"A": premises.render(), "a": _r(extra), "b": _r(conclusion)}
-
-    n_cn, v_cn = _run_trials(seed, "deduction:cn", trials, trial_cn)
-    n_cnp, v_cnp = _run_trials(seed, "deduction:cnp", trials, trial_cnp)
-    converse_fails = (
-        para_entails([Q], Implies(FALSUM, FALSUM)) is not None
-        and para_entails([Q, FALSUM], FALSUM) is None
-    )
-    evidence = (
-        f"holds in {n_cn}+{n_cnp} trials; converse fails for para: "
-        f"{{q, p & ~p}} does not derive p & ~p"
-    )
-    if v_cn or v_cnp or not converse_fails:
-        evidence = _render_violation(v_cn or v_cnp or {"converse instance": "failed"})
-    return TableRow(
-        "deduction", v_cn is None, v_cnp is None and converse_fails, evidence
+    return _law_row(
+        "deduction",
+        seed,
+        trials,
+        _deduction_trial,
+        "holds in {trials} trials; converse fails for para: "
+        "{{q, p & ~p}} does not derive p & ~p",
+        _deduction_converse_fails,
+        {"converse instance": "failed"},
     )
 
 
 def _row_inconsistent_sets(seed: int, trials: int) -> TableRow:
     # Classical: an unsatisfiable set entails everything.
     classical_exists = (not is_satisfiable([FALSUM])) and entails([FALSUM], Q)
-
-    def trial_cnp(s: FormulaSampler):
-        premises = s.premise_set()
-        blocked = s.contradiction()
-        if para_entails(premises, blocked) is None:
-            return True  # something stays underivable, so the set is proper
-        return {"A": premises.render(), "derived contradiction": _r(blocked)}
-
-    n_cnp, v_cnp = _run_trials(seed, "inconsistent sets:cnp", trials, trial_cnp)
+    n_cnp, v_cnp = _run_trials(
+        seed, "inconsistent sets:cnp", trials, _contradiction_trial
+    )
     evidence = (
         f"classical: {{p & ~p}} derives everything; para: every sampled set "
         f"left a contradiction underivable ({n_cnp} trials)"
@@ -464,15 +468,9 @@ def _row_contradictory_sets(seed: int, trials: int) -> TableRow:
 
 def _row_strongly_contradictory_sets(seed: int, trials: int) -> TableRow:
     classical_exists = is_contradiction(FALSUM) and entails([P, Not(P)], FALSUM)
-
-    def trial_cnp(s: FormulaSampler):
-        premises = s.premise_set()
-        blocked = s.contradiction()
-        if para_entails(premises, blocked) is None:
-            return True
-        return {"A": premises.render(), "derived contradiction": _r(blocked)}
-
-    n_cnp, v_cnp = _run_trials(seed, "strongly contradictory:cnp", trials, trial_cnp)
+    n_cnp, v_cnp = _run_trials(
+        seed, "strongly contradictory:cnp", trials, _contradiction_trial
+    )
     evidence = (
         f"classical: {{p, ~p}} derives p & ~p; para: no contradiction ever "
         f"derivable ({n_cnp} trials)"
@@ -557,6 +555,18 @@ def render_table(rows: list[TableRow]) -> str:
 # Claim batteries
 
 
+def _claim(
+    claim: str, trials: int, violation: Optional[dict], evidence: dict, holds=True
+) -> ClaimResult:
+    """Confirmed when no trial broke the law and the directed check holds."""
+    return ClaimResult(
+        claim,
+        "confirmed" if violation is None and holds else "refuted",
+        trials,
+        evidence if violation is None else violation,
+    )
+
+
 def check_support_laws(
     seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS
 ) -> list[ClaimResult]:
@@ -564,23 +574,16 @@ def check_support_laws(
     results = []
 
     # (a) no premise set para-derives a contradiction
-    def trial_a(s: FormulaSampler):
-        premises = s.premise_set()
-        blocked = s.contradiction()
-        if para_entails(premises, blocked) is None:
-            return True
-        return {"A": premises.render(), "b": _r(blocked)}
-
-    n_a, v_a = _run_trials(seed, "support:contradictions", trials, trial_a)
-    directed_a = para_entails([P, Not(P)], FALSUM) is None
+    n_a, v_a = _run_trials(
+        seed, "support:contradictions", trials, partial(_contradiction_trial, key="b")
+    )
     results.append(
-        ClaimResult(
+        _claim(
             "contradictions-never-derivable",
-            "confirmed" if (v_a is None and directed_a) else "refuted",
             n_a,
-            {"directed": "{p, ~p} does not para-derive p & ~p"}
-            if v_a is None
-            else v_a,
+            v_a,
+            {"directed": "{p, ~p} does not para-derive p & ~p"},
+            para_entails([P, Not(P)], FALSUM) is None,
         )
     )
 
@@ -602,19 +605,15 @@ def check_support_laws(
         return True
 
     n_b, v_b = _run_trials(seed, "support:theorems", trials, trial_b)
-    directed_b = (
-        para_entails([Implies(P, P)], Or(Q, Not(Q))) is not None
-        and is_theorem(Or(Q, Not(Q)))
-        and para_entails([FALSUM], Or(Q, Not(Q))) is not None
-    )
     results.append(
-        ClaimResult(
+        _claim(
             "theorem-consequences-are-universal",
-            "confirmed" if (v_b is None and directed_b) else "refuted",
             n_b,
-            {"directed": "{p -> p} |-P q | ~q, a theorem derivable from any set"}
-            if v_b is None
-            else v_b,
+            v_b,
+            {"directed": "{p -> p} |-P q | ~q, a theorem derivable from any set"},
+            para_entails([Implies(P, P)], Or(Q, Not(Q))) is not None
+            and is_theorem(Or(Q, Not(Q)))
+            and para_entails([FALSUM], Or(Q, Not(Q))) is not None,
         )
     )
 
@@ -632,19 +631,15 @@ def check_support_laws(
         return {"a": _r(single), "b": _r(conclusion)}
 
     n_c, v_c = _run_trials(seed, "support:singletons", trials, trial_c)
-    directed_c = (
-        para_entails([P], Or(P, Q)) is not None
-        and is_satisfiable([P])
-        and entails([P], Or(P, Q))
-    )
     results.append(
-        ClaimResult(
+        _claim(
             "singleton-support",
-            "confirmed" if (v_c is None and directed_c) else "refuted",
             n_c,
-            {"directed": "{p} |-P p | q with {p} consistent and {p} |- p | q"}
-            if v_c is None
-            else v_c,
+            v_c,
+            {"directed": "{p} |-P p | q with {p} consistent and {p} |- p | q"},
+            para_entails([P], Or(P, Q)) is not None
+            and is_satisfiable([P])
+            and entails([P], Or(P, Q)),
         )
     )
     return results
@@ -655,81 +650,44 @@ def check_deduction_and_weak_transitivity(
 ) -> list[ClaimResult]:
     """Deduction and weak transitivity under |-P, plus their failure modes."""
     results = []
-
-    def trial_deduction(s: FormulaSampler):
-        premises = s.premise_set()
-        extra = s.formula()
-        extended = FormulaSet([*premises, extra])
-        conclusion = s.para_consequence_of(extended)
-        if para_entails(extended, conclusion) is None:
-            return None
-        if para_entails(premises, Implies(extra, conclusion)) is not None:
-            return True
-        return {"A": premises.render(), "a": _r(extra), "b": _r(conclusion)}
-
-    n_d, v_d = _run_trials(seed, "claims:deduction", trials, trial_deduction)
-    results.append(
-        ClaimResult(
-            "deduction",
-            "confirmed" if v_d is None else "refuted",
-            n_d,
-            {"law": "A + {a} |-P b implies A |-P a -> b"} if v_d is None else v_d,
-        )
-    )
-
-    def trial_weak(s: FormulaSampler):
-        premises = s.premise_set()
-        middle = s.para_consequence_of(premises)
-        conclusion = s.para_consequence_of(FormulaSet([middle]))
-        if para_entails(premises, middle) is None:
-            return None
-        if para_entails([middle], conclusion) is None:
-            return None
-        if para_entails(premises, conclusion) is not None:
-            return True
-        return {"A": premises.render(), "b": _r(middle), "c": _r(conclusion)}
-
-    n_w, v_w = _run_trials(seed, "claims:weak-transitivity", trials, trial_weak)
-    results.append(
-        ClaimResult(
+    laws = (
+        ("deduction", _deduction_trial, "A + {a} |-P b implies A |-P a -> b"),
+        (
             "weak-transitivity",
-            "confirmed" if v_w is None else "refuted",
-            n_w,
-            {"law": "A |-P b and {b} |-P c imply A |-P c"} if v_w is None else v_w,
+            _weak_transitivity_trial,
+            "A |-P b and {b} |-P c imply A |-P c",
+        ),
+    )
+    for claim, trial, law in laws:
+        n, violation = _run_trials(
+            seed, f"claims:{claim}", trials, partial(trial, rel=PARA)
         )
-    )
-
-    converse_ok = (
-        para_entails([Q], Implies(FALSUM, FALSUM)) is not None
-        and para_entails([Q, FALSUM], FALSUM) is None
-    )
+        results.append(_claim(claim, n, violation, {"law": law}))
     results.append(
-        ClaimResult(
+        _claim(
             "deduction-converse-failure",
-            "confirmed" if converse_ok else "refuted",
             1,
+            None,
             {
                 "instance": "{q} |-P (p & ~p) -> (p & ~p) "
                 "but {q, p & ~p} does not para-derive p & ~p"
             },
+            _deduction_converse_fails(),
         )
     )
-
     mp_pair = FormulaSet([P, Not(P)])
-    mp_ok = (
-        para_entails(mp_pair, P) is not None
-        and para_entails(mp_pair, Implies(P, FALSUM)) is not None
-        and para_entails(mp_pair, FALSUM) is None
-    )
     results.append(
-        ClaimResult(
+        _claim(
             "modus-ponens-failure",
-            "confirmed" if mp_ok else "refuted",
             1,
+            None,
             {
                 "instance": "{p, ~p} |-P p and |-P p -> (p & ~p), "
                 "yet p & ~p stays underivable"
             },
+            para_entails(mp_pair, P) is not None
+            and para_entails(mp_pair, Implies(P, FALSUM)) is not None
+            and para_entails(mp_pair, FALSUM) is None,
         )
     )
     return results

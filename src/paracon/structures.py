@@ -17,6 +17,16 @@ from .errors import CapExceededError, StructureFormatError
 from .formula import FormulaUniverse, Not, render, variables
 
 
+MAX_ATOMS = 16  # the largest domain a structure, or a structure file, may have
+
+
+def _check_atom_cap(n_atoms: int, max_atoms: int = MAX_ATOMS) -> None:
+    if n_atoms > max_atoms:
+        raise CapExceededError(
+            f"domain of {n_atoms} atoms exceeds the cap of {max_atoms}"
+        )
+
+
 class FiniteConsequenceStructure:
     """A pair (domain, Cn) with Cn given by a complete subset-to-subset table."""
 
@@ -26,7 +36,7 @@ class FiniteConsequenceStructure:
         table: Sequence[int],
         negation: Optional[Mapping[str, str]] = None,
         note: str = "",
-        max_atoms: int = 16,
+        max_atoms: int = MAX_ATOMS,
     ):
         domain = tuple(domain)
         if not domain:
@@ -35,10 +45,7 @@ class FiniteConsequenceStructure:
             raise ValueError("domain labels must be distinct")
         if any(not isinstance(a, str) or not a for a in domain):
             raise ValueError("domain labels must be non-empty strings")
-        if len(domain) > max_atoms:
-            raise CapExceededError(
-                f"domain of {len(domain)} atoms exceeds the cap of {max_atoms}"
-            )
+        _check_atom_cap(len(domain), max_atoms)
         size = 1 << len(domain)
         table = tuple(table)
         if len(table) != size:
@@ -391,6 +398,7 @@ def loads(text: str) -> FiniteConsequenceStructure:
         raise StructureFormatError("'domain' must be a list of labels")
     if len(set(domain)) != len(domain):
         raise StructureFormatError("domain labels must be distinct")
+    _check_atom_cap(len(domain))  # before the 2**n table is allocated
     entries = data.get("cn")
     if not isinstance(entries, list):
         raise StructureFormatError("'cn' must be a list of [subset, value] pairs")
@@ -445,7 +453,7 @@ def loads(text: str) -> FiniteConsequenceStructure:
             negation[atom] = image
     try:
         return FiniteConsequenceStructure(domain, table, negation)
-    except (ValueError, CapExceededError) as exc:
+    except ValueError as exc:
         raise StructureFormatError(str(exc)) from None
 
 

@@ -97,6 +97,35 @@ def oracle_mcs_masks_by_rows(premises):
     return sorted(maximal, key=lambda m: (-bin(m).count("1"), m))
 
 
+def oracle_classification(premises, candidates, para):
+    """(consistent, contradictory, strongly contradictory, paraconsistent,
+    witness) by definition, under |-P when `para` and under |- otherwise.
+
+    Consistency under |-P is the finite-universe surrogate: some candidate is
+    not |-P-derivable.  The witness is the first candidate a with a and ~a
+    both derivable, or else the first derivable contradiction.
+    """
+    premises = list(premises)
+    entails = oracle_para_entails if para else oracle_entails
+
+    def derives(f):
+        return entails(premises, f)
+
+    if para:
+        consistent = not all(derives(f) for f in candidates)
+    else:
+        consistent = oracle_satisfiable(premises)
+    contradictory = [a for a in candidates if derives(a) and derives(Not(a))]
+    strong = [a for a in candidates if not oracle_satisfiable([a]) and derives(a)]
+    return (
+        consistent,
+        bool(contradictory),
+        bool(strong),
+        consistent and bool(contradictory),
+        (contradictory + strong + [None])[0],
+    )
+
+
 class FastParaOracle:
     """Truth-bitmap variant of the literal all-subsets scan, for big pools."""
 

@@ -217,6 +217,17 @@ def test_structure_check_malformed_exits_2(tmp_path, capsys):
     assert "missing" in err
 
 
+@pytest.mark.parametrize("n_atoms", [17, 64])
+def test_structure_check_over_the_atom_cap_exits_3(tmp_path, capsys, n_atoms):
+    path = tmp_path / "wide.json"
+    labels = [f"a{i}" for i in range(n_atoms)]
+    path.write_text(json.dumps({"domain": labels, "cn": []}), encoding="utf-8")
+    code, out, err = run(capsys, "structure", "check", str(path))
+    assert (code, out) == (3, "")
+    assert "cap" in err
+    assert "Traceback" not in err
+
+
 def test_structure_functor_round_trip(structure_file, tmp_path, capsys):
     out_path = tmp_path / "out.json"
     code, out, _ = run(capsys, "structure", "functor", structure_file, "-o", str(out_path))
@@ -281,6 +292,13 @@ def test_verify_table_small_trials(capsys):
 def test_verify_table_zero_trials_exits_2(capsys):
     code, _, err = run(capsys, "verify-table", "--trials", "0")
     assert code == 2
+    assert "(got --trials 0)" in err
+
+
+def test_verify_table_negative_trials_exits_2_naming_the_count(capsys):
+    code, out, err = run(capsys, "verify-table", "--trials", "-5")
+    assert (code, out) == (2, "")
+    assert "(got --trials -5)" in err
 
 
 def test_verify_table_other_seed_same_verdicts(capsys):

@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     LETTERS,
     identity_structure,
+    oracle_classification,
     oracle_mcs_masks,
     oracle_mcs_masks_by_rows,
     oracle_para_entails,
@@ -18,6 +19,7 @@ from paracon import (
     CapExceededError,
     FiniteConsequenceStructure,
     FormulaSet,
+    FormulaUniverse,
     FunctorOptions,
     Implies,
     Not,
@@ -377,6 +379,41 @@ def test_para_classify_plain_set():
     assert verdict.consistent is True
     assert verdict.contradictory is False
     assert verdict.paraconsistent is False
+
+
+def test_para_classify_requires_candidates():
+    with pytest.raises(ValueError):
+        para_classify(FormulaSet([P]), FormulaUniverse((), ()))
+
+
+def test_para_classify_matches_its_definition():
+    rng = random.Random(72)
+    kinds = set()
+    for _ in range(150):
+        premises = FormulaSet(
+            _rand(rng, 2, ("p", "q")) for _ in range(rng.randint(0, 4))
+        )
+        flags = [
+            f for f in ("subformulas", "negations", "with_falsum") if rng.random() < 0.5
+        ]
+        candidates = build_universe(premises if len(premises) else [P], flags)
+        expected = oracle_classification(premises, candidates, para=True)
+        verdict = para_classify(premises, candidates)
+        assert (
+            verdict.consistent,
+            verdict.contradictory,
+            verdict.strongly_contradictory,
+            verdict.paraconsistent,
+            verdict.witness,
+        ) == expected, premises
+        kinds.add(expected[:4])
+    # every flag combination |-P allows: it never derives a contradiction
+    assert kinds == {
+        (True, False, False, False),
+        (True, True, False, True),
+        (False, False, False, False),
+        (False, True, False, False),
+    }
 
 
 def test_no_premise_set_is_para_inconsistent():

@@ -1,15 +1,24 @@
+import hashlib
+
 import pytest
 
+import paracon.propsuite as propsuite
 from oracles import identity_structure
 from paracon import (
     EXPECTED_VERDICTS,
+    Formula,
+    FormulaSet,
+    FormulaUniverse,
     Not,
+    ParaWitness,
+    SetClassification,
     Var,
     build_universe,
     check_deduction_and_weak_transitivity,
     check_paraconsistency_transfer,
     check_support_laws,
     classical_restriction,
+    render,
     render_table,
     table_matches_expected,
     verify_table,
@@ -166,3 +175,63 @@ def test_transfer_evidence_replays():
     assert closed >> transformed.domain.index(atom) & 1
     missing_index = transformed.domain.index(result.evidence["underivable"])
     assert not closed >> missing_index & 1
+
+
+# -- call transcript --------------------------------------------------------------
+
+TRANSCRIPT_CALLS = (
+    "entails",
+    "para_entails",
+    "classify",
+    "para_classify",
+    "is_satisfiable",
+    "is_theorem",
+    "is_contradiction",
+    "maximal_consistent_subsets",
+)
+# A changed draw, query, result or call order changes these.
+TRANSCRIPT_SHA256 = "c7f1545902d9cb707b424ccae49f270c2ae3e66ed5db84b9bc342e42c204d235"
+TRANSCRIPT_LENGTH = 2603
+
+
+def _show(value):
+    if isinstance(value, Formula):
+        return render(value)
+    if isinstance(value, (FormulaSet, FormulaUniverse, list, tuple)):
+        return "[" + ", ".join(_show(v) for v in value) + "]"
+    if isinstance(value, ParaWitness):
+        return f"via {_show(value.support)} maximal={value.maximal}"
+    if isinstance(value, SetClassification):
+        return (
+            f"consistent={value.consistent} contradictory={value.contradictory} "
+            f"strong={value.strongly_contradictory} "
+            f"paraconsistent={value.paraconsistent} witness={_show(value.witness)}"
+        )
+    return repr(value)
+
+
+def test_suites_make_the_same_calls_in_the_same_order(monkeypatch):
+    """Every library call the suites make, with arguments and result, in order.
+
+    The golden table shows only verdicts and trial counts; this pins the
+    draws and the queries behind them.
+    """
+    lines = []
+
+    def recording(name, original):
+        def call(*args, **kwargs):
+            result = original(*args, **kwargs)
+            shown = [_show(a) for a in args]
+            shown += [f"{k}={_show(v)}" for k, v in sorted(kwargs.items())]
+            lines.append(f"{name}({'; '.join(shown)}) -> {_show(result)}")
+            return result
+
+        return call
+
+    for name in TRANSCRIPT_CALLS:
+        monkeypatch.setattr(propsuite, name, recording(name, getattr(propsuite, name)))
+    verify_table(seed=0, trials=30)
+    check_support_laws(seed=0, trials=30)
+    check_deduction_and_weak_transitivity(seed=0, trials=30)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (TRANSCRIPT_LENGTH, TRANSCRIPT_SHA256)

@@ -448,6 +448,17 @@ def test_load_rejects_malformed(mutate, message):
     assert message in str(excinfo.value)
 
 
+@pytest.mark.parametrize("n_atoms", [17, 64])
+def test_load_checks_the_atom_cap_before_reading_the_table(n_atoms):
+    # 64 labels would need a 2**64-entry table; only the cap check stops it.
+    import json
+
+    text = json.dumps({"domain": [f"a{i}" for i in range(n_atoms)], "cn": []})
+    with pytest.raises(CapExceededError) as excinfo:
+        loads_structure(text)
+    assert f"domain of {n_atoms} atoms exceeds the cap of 16" in str(excinfo.value)
+
+
 def test_load_rejects_non_json():
     with pytest.raises(StructureFormatError):
         loads_structure("domain: [a]")
