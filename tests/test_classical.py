@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import oracle_classification, oracle_eval, oracle_satisfiable
+from oracles import oracle_eval, oracle_satisfiable
 from paracon import (
     And,
     FormulaSet,
@@ -236,38 +236,6 @@ def test_classify_empty_set():
 def test_classify_requires_candidates():
     with pytest.raises(ValueError):
         classify(FormulaSet([P]), FormulaUniverse((), ()))
-
-
-def _classification(verdict):
-    return (
-        verdict.consistent,
-        verdict.contradictory,
-        verdict.strongly_contradictory,
-        verdict.paraconsistent,
-        verdict.witness,
-    )
-
-
-def test_classify_matches_its_definition():
-    rng = random.Random(71)
-    kinds = set()
-    for _ in range(150):
-        premises = FormulaSet(
-            _rand(rng, 2, ("p", "q")) for _ in range(rng.randint(0, 4))
-        )
-        flags = [
-            f for f in ("subformulas", "negations", "with_falsum") if rng.random() < 0.5
-        ]
-        candidates = build_universe(premises if len(premises) else [P], flags)
-        expected = oracle_classification(premises, candidates, para=False)
-        assert _classification(classify(premises, candidates)) == expected, premises
-        kinds.add(expected[:4])
-    # consistent and plain; inconsistent with and without a derivable contradiction
-    assert {k[:3] for k in kinds} == {
-        (True, False, False),
-        (False, True, True),
-        (False, True, False),
-    }
 
 
 def test_classify_never_paraconsistent_classically():

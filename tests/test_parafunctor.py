@@ -27,6 +27,7 @@ from paracon import (
     Var,
     build_universe,
     classical_restriction,
+    classify,
     entails,
     is_satisfiable,
     is_theorem,
@@ -386,7 +387,28 @@ def test_para_classify_requires_candidates():
         para_classify(FormulaSet([P]), FormulaUniverse((), ()))
 
 
-def test_para_classify_matches_its_definition():
+# Every flag combination (consistent, contradictory, strongly contradictory,
+# paraconsistent) each relation can reach.  Classically a consistent set
+# derives nothing contradictory and an inconsistent one derives everything;
+# |-P never derives a contradiction.
+REACHABLE_CLASSIFICATIONS = {
+    False: {
+        (True, False, False, False),
+        (False, True, True, False),
+        (False, True, False, False),
+    },
+    True: {
+        (True, False, False, False),
+        (True, True, False, True),
+        (False, False, False, False),
+        (False, True, False, False),
+    },
+}
+
+
+@pytest.mark.parametrize("para", [False, True])
+def test_classification_matches_its_definition(para):
+    classifier = para_classify if para else classify
     rng = random.Random(72)
     kinds = set()
     for _ in range(150):
@@ -397,8 +419,8 @@ def test_para_classify_matches_its_definition():
             f for f in ("subformulas", "negations", "with_falsum") if rng.random() < 0.5
         ]
         candidates = build_universe(premises if len(premises) else [P], flags)
-        expected = oracle_classification(premises, candidates, para=True)
-        verdict = para_classify(premises, candidates)
+        expected = oracle_classification(premises, candidates, para)
+        verdict = classifier(premises, candidates)
         assert (
             verdict.consistent,
             verdict.contradictory,
@@ -407,13 +429,7 @@ def test_para_classify_matches_its_definition():
             verdict.witness,
         ) == expected, premises
         kinds.add(expected[:4])
-    # every flag combination |-P allows: it never derives a contradiction
-    assert kinds == {
-        (True, False, False, False),
-        (True, True, False, True),
-        (False, False, False, False),
-        (False, True, False, False),
-    }
+    assert kinds == REACHABLE_CLASSIFICATIONS[para]
 
 
 def test_no_premise_set_is_para_inconsistent():
