@@ -58,17 +58,23 @@ def _models(f: Formula, pattern: Mapping[str, int], full: int) -> int:
     raise TypeError(f"not a Formula: {f!r}")
 
 
-def truth_tables(
-    formulas: Iterable[Formula], names: Sequence[str]
-) -> tuple[int, Iterator[int]]:
-    """The all-rows mask and, lazily, each formula's satisfying-rows bitmap.
+def truth_table(names: Sequence[str]) -> tuple[int, Callable[[Formula], int]]:
+    """The all-rows mask and a function giving a formula's satisfying-rows bitmap.
 
     The table has one row per valuation of names (which must cover the
-    formulas' variables), with names[0] as the most significant row bit.
+    formulas evaluated), with names[0] as the most significant row bit.
     """
     full, patterns = _row_patterns(len(names))
     pattern = dict(zip(names, patterns))
-    return full, (_models(f, pattern, full) for f in formulas)
+    return full, lambda f: _models(f, pattern, full)
+
+
+def truth_tables(
+    formulas: Iterable[Formula], names: Sequence[str]
+) -> tuple[int, Iterator[int]]:
+    """The all-rows mask and, lazily, each formula's satisfying-rows bitmap."""
+    full, models = truth_table(names)
+    return full, map(models, formulas)
 
 
 def evaluate(f: Formula, valuation: Valuation) -> bool:
@@ -181,11 +187,19 @@ def classify(
     paraconsistent: consistent and contradictory (never both, classically).
     """
     premise_list = list(premises)
-    return classify_by(
-        candidates,
-        lambda: is_satisfiable(premise_list),
-        lambda a: entails(premise_list, a),
-    )
+    names = sorted({v for f in [*premise_list, *candidates] for v in variables(f)})
+    if len(names) > TABLE_VARIABLES:
+        return classify_by(
+            candidates,
+            lambda: is_satisfiable(premise_list),
+            lambda a: entails(premise_list, a),
+        )
+    # One table for premises and candidates: A |- a iff no row of A's meet
+    # falsifies a.
+    meet, models = truth_table(names)
+    for f in premise_list:
+        meet &= models(f)
+    return classify_by(candidates, lambda: meet != 0, lambda a: not meet & ~models(a))
 
 
 def classify_by(

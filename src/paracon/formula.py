@@ -293,6 +293,9 @@ class FormulaSet:
     items: tuple[Formula, ...]
 
     def __init__(self, formulas: Iterable[Formula] = ()):
+        if isinstance(formulas, FormulaSet):  # already distinct: no dedupe
+            object.__setattr__(self, "items", formulas.items)
+            return
         seen: list[Formula] = []
         for f in formulas:
             if not isinstance(f, Formula):

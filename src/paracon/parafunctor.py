@@ -10,13 +10,19 @@ steps).  For classical logic the derived entailment relation A |-P f ("some
 consistent subset of A entails f") is decided by scanning maximal consistent
 subsets: classical entailment is monotone, so every consistent subset extends
 to a maximal one inside A and the scan is sound and complete.
+
+Each premise set is compiled once (and cached): its MCSes in canonical order
+and, up to TABLE_VARIABLES variables, its truth table with each MCS's rows.
+A query then evaluates f once over that table and is one AND per MCS: M |- f
+iff no row of M falsifies f.  Wider sets scan the MCSes with classical
+entailment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .classical import (
     TABLE_VARIABLES,
@@ -24,6 +30,7 @@ from .classical import (
     classify_by,
     entails,
     is_satisfiable,
+    truth_table,
     truth_tables,
 )
 from .errors import CapExceededError
@@ -77,8 +84,14 @@ def paraconsistentize_finite(
     return FiniteConsequenceStructure(structure.domain, table, structure.negation)
 
 
+class _PremiseTable(NamedTuple):
+    masks: tuple[int, ...]  # the MCSes, in canonical order
+    names: Optional[tuple[str, ...]]  # the table's variables; None above the cap
+    rows: tuple[int, ...]  # per MCS, the table rows where all its members hold
+
+
 @lru_cache(maxsize=8192)
-def _mcs_masks(items: tuple[Formula, ...]) -> tuple[int, ...]:
+def _mcs_masks(items: tuple[Formula, ...]) -> _PremiseTable:
     n = len(items)
     names = sorted({v for f in items for v in variables(f)})
     if len(names) <= TABLE_VARIABLES:
@@ -93,58 +106,92 @@ def _mcs_masks(items: tuple[Formula, ...]) -> tuple[int, ...]:
             for mask in range(1, 1 << n):
                 low = mask & -mask
                 meet[mask] = meet[mask ^ low] & bitmaps[low.bit_length() - 1]
-
-            def satisfiable(mask: int) -> bool:
-                return meet[mask] != 0
-
+            rows_of = meet.__getitem__
         else:
             # Wider tables: AND the members' bitmaps for each mask tested.
-            def satisfiable(mask: int) -> bool:
+            def rows_of(mask: int) -> int:
                 bits = full
                 for i in range(n):
                     if mask >> i & 1:
                         bits &= bitmaps[i]
-                return bits != 0
+                return bits
 
     else:
         # Beyond TABLE_VARIABLES: one backtracking search per mask tested.
-        def satisfiable(mask: int) -> bool:
+        def rows_of(mask: int) -> bool:
             return is_satisfiable(items[i] for i in range(n) if mask >> i & 1)
 
     # Masks sorted by (descending cardinality, ascending bitmask); a mask is
     # maximal iff satisfiable and not contained in an earlier maximal one.
     found: list[int] = []
+    rows: list[int] = []
     for mask in sorted(range(1 << n), key=lambda m: (-m.bit_count(), m)):
         if any(mask & big == mask for big in found):
             continue
-        if satisfiable(mask):
+        bits = rows_of(mask)
+        if bits:
             found.append(mask)
-    return tuple(found)
+            rows.append(bits)
+    if len(names) > TABLE_VARIABLES:
+        return _PremiseTable(tuple(found), None, ())
+    # An MCS's rows are exactly the rows whose true premises are that MCS.
+    return _PremiseTable(tuple(found), tuple(names), tuple(rows))
+
+
+def _premise_items(premises: Iterable[Formula], max_size: int) -> tuple[Formula, ...]:
+    items = FormulaSet(premises).items
+    if len(items) > max_size:
+        raise CapExceededError(
+            f"premise set of {len(items)} formulas exceeds the cap of {max_size}"
+        )
+    return items
+
+
+def _subset(items: tuple[Formula, ...], mask: int) -> FormulaSet:
+    return FormulaSet(items[i] for i in range(len(items)) if mask >> i & 1)
 
 
 def maximal_consistent_subsets(
     premises: Iterable[Formula], max_size: int = MCS_CAP
 ) -> list[FormulaSet]:
     """All subset-maximal satisfiable subsets, in deterministic order."""
-    items = FormulaSet(premises).items
-    if len(items) > max_size:
-        raise CapExceededError(
-            f"premise set of {len(items)} formulas exceeds the cap of {max_size}"
-        )
-    return [
-        FormulaSet(items[i] for i in range(len(items)) if mask >> i & 1)
-        for mask in _mcs_masks(items)
-    ]
+    items = _premise_items(premises, max_size)
+    return [_subset(items, mask) for mask in _mcs_masks(items).masks]
+
+
+def _first_support(
+    items: tuple[Formula, ...], table: _PremiseTable, conclusion: Formula
+) -> Optional[int]:
+    """The first MCS (canonical order) entailing conclusion, as a mask, or None."""
+    if table.names is not None:
+        extra = sorted(variables(conclusion).difference(table.names))
+        if len(table.names) + len(extra) <= TABLE_VARIABLES:
+            # Evaluate the conclusion over the premise table widened by its
+            # own variables (as the most significant row bits), then AND the
+            # halves of each widening: a premise row holds f only if f holds
+            # for every value of the variables no premise mentions.
+            full, models = truth_table([*extra, *table.names])
+            holds = models(conclusion)
+            width, premise_rows = full.bit_length(), 1 << len(table.names)
+            while width > premise_rows:
+                width >>= 1
+                holds &= holds >> width
+            falsified = ~holds
+            return next(
+                (m for m, r in zip(table.masks, table.rows) if not r & falsified), None
+            )
+    return next(
+        (m for m in table.masks if entails(_subset(items, m), conclusion)), None
+    )
 
 
 def para_entails(
     premises: Iterable[Formula], conclusion: Formula, max_size: int = MCS_CAP
 ) -> Optional[ParaWitness]:
     """A |-P f: the first maximal consistent subset entailing f, if any."""
-    for support in maximal_consistent_subsets(premises, max_size=max_size):
-        if entails(support, conclusion):
-            return ParaWitness(conclusion, support, True)
-    return None
+    items = _premise_items(premises, max_size)
+    mask = _first_support(items, _mcs_masks(items), conclusion)
+    return None if mask is None else ParaWitness(conclusion, _subset(items, mask), True)
 
 
 def para_classify(
@@ -155,10 +202,11 @@ def para_classify(
     Consistency is the finite-universe surrogate: some candidate must not be
     |-P-derivable (a stand-in for the consequence set being proper).
     """
-    premise_set = FormulaSet(premises)
+    items = _premise_items(premises, MCS_CAP)
+    table = _mcs_masks(items)
 
     def derives(f: Formula) -> bool:
-        return para_entails(premise_set, f) is not None
+        return _first_support(items, table, f) is not None
 
     return classify_by(
         candidates, lambda: not all(derives(f) for f in candidates), derives

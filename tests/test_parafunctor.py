@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from oracles import (
     LETTERS,
     identity_structure,
     oracle_classification,
+    oracle_entails,
     oracle_mcs_masks,
     oracle_mcs_masks_by_rows,
     oracle_para_entails,
@@ -35,7 +37,11 @@ from paracon import (
     para_classify,
     para_entails,
     paraconsistentize_finite,
+    render,
+    variables,
 )
+from paracon import parafunctor
+from paracon.cli import main
 
 P, Q, R = Var("p"), Var("q"), Var("r")
 FALSUM = And(P, Not(P))
@@ -361,6 +367,114 @@ def test_theorems_survive_any_premises():
             assert para_entails(premises, theorem) is not None
 
 
+def _literal_support(premises, conclusion):
+    """The first MCS, in canonical order, that entails the conclusion, or None."""
+    items = FormulaSet(premises).items
+    for mask in oracle_mcs_masks(items):
+        subset = FormulaSet(items[i] for i in range(len(items)) if mask >> i & 1)
+        if oracle_entails(subset, conclusion):
+            return subset
+    return None
+
+
+def _entailing_count(premises, conclusion):
+    items = FormulaSet(premises).items
+    return sum(
+        oracle_entails([items[i] for i in range(len(items)) if mask >> i & 1], conclusion)
+        for mask in oracle_mcs_masks(items)
+    )
+
+
+def _order_sensitive_cases(seed, count):
+    # Random premise sets over p, q, r, with conclusions that may also
+    # mention s, a variable no premise has.
+    rng = random.Random(seed)
+    for _ in range(count):
+        premises = FormulaSet(_rand(rng, 2) for _ in range(rng.randint(0, 6)))
+        yield premises, _rand(rng, 2, ("p", "q", "r", "s"))
+
+
+def test_para_witness_is_the_first_entailing_mcs():
+    ambiguous = unmentioned = 0
+    for premises, conclusion in _order_sensitive_cases(120, 300):
+        witness = para_entails(premises, conclusion)
+        want = _literal_support(premises, conclusion)
+        assert (witness and witness.support) == want, (premises, conclusion)
+        ambiguous += _entailing_count(premises, conclusion) > 1
+        unmentioned += "s" in variables(conclusion)
+    assert ambiguous >= 20 and unmentioned >= 100
+
+
+def test_cli_para_support_is_the_first_entailing_mcs(tmp_path, capsys):
+    premises, conclusion = next(
+        (premises, conclusion)
+        for premises, conclusion in _order_sensitive_cases(121, 1000)
+        if "s" in variables(conclusion) and _entailing_count(premises, conclusion) > 1
+    )
+    path = tmp_path / "premises.txt"
+    path.write_text("".join(render(f) + "\n" for f in premises), encoding="utf-8")
+    want = _literal_support(premises, conclusion)
+    code = main(["entail", str(path), render(conclusion), "--para"])
+    assert (code, capsys.readouterr().out) == (0, f"YES, support: {want.render()}\n")
+    code = main(["--format", "structured", "entail", str(path), render(conclusion), "--para"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["support"] == [render(f) for f in want]
+
+
+def _right_chain(connective, operands):
+    # right-nested, so the literal oracle settles most rows at the first operand
+    result = operands[-1]
+    for f in reversed(operands[:-1]):
+        result = connective(f, result)
+    return result
+
+
+@pytest.mark.parametrize("extra", [2, 3])
+def test_para_entails_at_the_table_boundary(extra, monkeypatch):
+    # Premises over 14 variables; the conclusions add `extra` more, sorting
+    # before the premises' own.  16 in all stay on the table; 17 scan the
+    # MCSes with classical entailment.
+    xs = [Var(f"x{i:02}") for i in range(14)]
+    ys = _right_chain(And, [Var(f"a{i}") for i in range(extra)])
+    # MCSes in order: {all xs, x00 -> x13}, then {x00 -> x13, ~x00}
+    premises = FormulaSet([_right_chain(And, xs), Implies(xs[0], xs[-1]), Not(xs[0])])
+    conclusions = [
+        Or(Not(xs[0]), ys),  # the second MCS entails it, the first does not
+        And(xs[-1], ys),  # no MCS does: the first only for one value of the a's
+    ]
+    scans = []
+    monkeypatch.setattr(
+        parafunctor, "entails", lambda A, f: scans.append(f) or entails(A, f)
+    )
+    witnesses = [para_entails(premises, f) for f in conclusions]
+    assert [w and w.support.render() for w in witnesses] == ["{x00 -> x13, ~x00}", None]
+    for conclusion, witness in zip(conclusions, witnesses):
+        assert (witness and witness.support) == _literal_support(premises, conclusion)
+    assert bool(scans) == (14 + extra > 16)
+
+
+@pytest.mark.parametrize("premises", [[P, Not(P)], [P, Implies(P, Var("x00"))]])
+def test_classify_beyond_the_table(premises, monkeypatch):
+    # 17 variables over premises and candidates: each candidate is decided
+    # by classical entailment, not by one table.
+    candidates = build_universe(
+        [Var(f"x{i:02}") for i in range(16)], ("negations", "with_falsum")
+    )
+    scans = []
+    monkeypatch.setattr(
+        "paracon.classical.entails", lambda A, f: scans.append(f) or entails(A, f)
+    )
+    verdict = classify(premises, candidates)
+    assert (
+        verdict.consistent,
+        verdict.contradictory,
+        verdict.strongly_contradictory,
+        verdict.paraconsistent,
+        verdict.witness,
+    ) == oracle_classification(premises, candidates, False)
+    assert scans
+
+
 # -- para classification -------------------------------------------------------------
 
 
@@ -411,6 +525,7 @@ def test_classification_matches_its_definition(para):
     classifier = para_classify if para else classify
     rng = random.Random(72)
     kinds = set()
+    widened = 0
     for _ in range(150):
         premises = FormulaSet(
             _rand(rng, 2, ("p", "q")) for _ in range(rng.randint(0, 4))
@@ -418,7 +533,14 @@ def test_classification_matches_its_definition(para):
         flags = [
             f for f in ("subformulas", "negations", "with_falsum") if rng.random() < 0.5
         ]
-        candidates = build_universe(premises if len(premises) else [P], flags)
+        seed = [*premises] if len(premises) else [P]
+        if rng.random() < 0.5:  # a candidate the premises' variables do not cover
+            seed.append(_rand(rng, 1, ("q", "s")))
+        candidates = build_universe(seed, flags)
+        unmentioned = set().union(*map(variables, candidates)) - set().union(
+            set(), *map(variables, premises)
+        )
+        widened += bool(len(premises) and unmentioned)
         expected = oracle_classification(premises, candidates, para)
         verdict = classifier(premises, candidates)
         assert (
@@ -430,6 +552,7 @@ def test_classification_matches_its_definition(para):
         ) == expected, premises
         kinds.add(expected[:4])
     assert kinds == REACHABLE_CLASSIFICATIONS[para]
+    assert widened >= 30
 
 
 def test_no_premise_set_is_para_inconsistent():
