@@ -23,6 +23,18 @@ Valuation = Mapping[str, bool]
 TABLE_VARIABLES = 16  # above this many variables satisfiability backtracks
 
 
+def tile(block: int, period: int, width: int) -> int:
+    """block repeated every period bits up to width bits, by doubling.
+
+    width / period must be a power of two.  log2(width / period) shifts and
+    ORs, where a big-int division by the repeating ones would cost far more.
+    """
+    while period < width:
+        block |= block << period
+        period <<= 1
+    return block
+
+
 @lru_cache(maxsize=None)
 def _row_patterns(k: int) -> tuple[int, tuple[int, ...]]:
     """The all-rows mask and one row pattern per variable of a k-variable table.
@@ -31,14 +43,13 @@ def _row_patterns(k: int) -> tuple[int, tuple[int, ...]]:
     is the most significant row bit: the row order of
     itertools.product((False, True), repeat=k).
     """
-    full = (1 << (1 << k)) - 1
+    rows = 1 << k
     patterns = []
     for i in range(k):
         half = 1 << (k - 1 - i)
         # `half` false rows then `half` true rows, repeated down the table
-        period = ((1 << half) - 1) << half
-        patterns.append(period * (full // ((1 << 2 * half) - 1)))
-    return full, tuple(patterns)
+        patterns.append(tile(((1 << half) - 1) << half, 2 * half, rows))
+    return (1 << rows) - 1, tuple(patterns)
 
 
 def _models(f: Formula, pattern: Mapping[str, int], full: int) -> int:
@@ -193,21 +204,28 @@ def classify(
             candidates,
             lambda: is_satisfiable(premise_list),
             lambda a: entails(premise_list, a),
+            is_contradiction,
         )
     # One table for premises and candidates: A |- a iff no row of A's meet
-    # falsifies a.
+    # falsifies a, and a is a contradiction iff no row satisfies it.
     meet, models = truth_table(names)
     for f in premise_list:
         meet &= models(f)
-    return classify_by(candidates, lambda: meet != 0, lambda a: not meet & ~models(a))
+    return classify_by(
+        candidates,
+        lambda: meet != 0,
+        lambda a: not meet & ~models(a),
+        lambda a: not models(a),
+    )
 
 
 def classify_by(
     candidates: FormulaUniverse,
     consistent: Callable[[], bool],
     derives: Callable[[Formula], bool],
+    contradiction: Callable[[Formula], bool],
 ) -> SetClassification:
-    """Classify a premise set given its consistency test and derivability test.
+    """Classify a premise set by its consistency, derivation and contradiction tests.
 
     The witness is the first contradictory candidate (a and ~a both
     derivable), or else the first derivable contradiction.
@@ -219,7 +237,7 @@ def classify_by(
         (a for a in candidates if derives(a) and derives(Not(a))), None
     )
     strong_witness = next(
-        (a for a in candidates if is_contradiction(a) and derives(a)), None
+        (a for a in candidates if contradiction(a) and derives(a)), None
     )
     contradictory = contradictory_witness is not None
     return SetClassification(

@@ -5,11 +5,12 @@ The transform replaces a consequence operator Cn by
     CnP(A) = union of Cn(A') over the consistent subsets A' of A
 
 so contradictory premise sets stop entailing everything.  On finite
-structures the union is one sum-over-subsets sweep of the table (n * 2**n
-steps).  For classical logic the derived entailment relation A |-P f ("some
-consistent subset of A entails f") is decided by scanning maximal consistent
-subsets: classical entailment is monotone, so every consistent subset extends
-to a maximal one inside A and the scan is sound and complete.
+structures the union is one sum-over-subsets sweep of the table packed into
+one int: one shift-and-OR per atom.  For classical logic the derived
+entailment relation A |-P f ("some consistent subset of A entails f") is
+decided by scanning maximal consistent subsets: classical entailment is
+monotone, so every consistent subset extends to a maximal one inside A and
+the scan is sound and complete.
 
 Each premise set is compiled once (and cached): its MCSes in canonical order
 and, up to TABLE_VARIABLES variables, its truth table with each MCS's rows.
@@ -20,6 +21,7 @@ entailment.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
@@ -29,16 +31,19 @@ from .classical import (
     SetClassification,
     classify_by,
     entails,
+    is_contradiction,
     is_satisfiable,
+    tile,
     truth_table,
     truth_tables,
 )
 from .errors import CapExceededError
 from .formula import Formula, FormulaSet, FormulaUniverse, variables
-from .structures import FiniteConsequenceStructure
+from .structures import FiniteConsequenceStructure, check_atom_cap
 
 MCS_CAP = 20
 MEET_TABLE_VARIABLES = 12  # up to this many variables _mcs_masks tables every meet
+_FIELD = 16  # bits per packed table entry ("H"): one per atom, up to MAX_ATOMS
 
 
 @dataclass(frozen=True)
@@ -61,9 +66,12 @@ def paraconsistentize_finite(
 ) -> FiniteConsequenceStructure:
     """Apply the transform to a finite structure as a sum over subsets.
 
-    Each atom's sweep ORs a subset's running union of consistent
-    consequences into the subset one atom larger: n * 2**n steps.  Only the
-    table is read, so any table, closure operator or not, gets CnP as defined.
+    The table, inconsistent entries zeroed, is packed into one int with a
+    16-bit field per subset (MAX_ATOMS bounds every entry).  For each atom,
+    one shift-and-OR moves every subset's running union of consistent
+    consequences into the subset one atom larger: n whole-table steps in
+    place of n * 2**n entry updates.  Only the table is read, so any table,
+    closure operator or not, gets CnP as defined.
 
     Homomorphisms (injective maps h with h(Cn(A)) == Cn'(h(A))): every h
     that reflects consistency (h(A) consistent implies A consistent) stays a
@@ -72,15 +80,21 @@ def paraconsistentize_finite(
     consistent, the union of Cn(B) over the consistent subsets B of A' is
     the whole domain; proper injections can fail this.
     """
+    n = structure.n_atoms
+    check_atom_cap(n)
     full = structure.full_mask
-    table = [0 if value == full else value for value in structure.table]
-    for i in range(structure.n_atoms):
-        bit = 1 << i
-        for mask in range(full + 1):
-            if mask & bit:
-                table[mask] |= table[mask ^ bit]
+    layout = f"<{full + 1}H"
+    consistent = [0 if value == full else value for value in structure.table]
+    table = int.from_bytes(struct.pack(layout, *consistent), "little")
+    width = _FIELD << n
+    for i in range(n):
+        # The fields of the subsets without atom i, each moved to the
+        # subset with it, 2**i fields up.
+        lower = tile((1 << (_FIELD << i)) - 1, _FIELD << (i + 1), width)
+        table |= (table & lower) << (_FIELD << i)
     if options.inclusive:
-        table = [value | mask for mask, value in enumerate(table)]
+        table |= int.from_bytes(struct.pack(layout, *range(full + 1)), "little")
+    table = struct.unpack(layout, table.to_bytes(width // 8, "little"))
     return FiniteConsequenceStructure(structure.domain, table, structure.negation)
 
 
@@ -209,5 +223,8 @@ def para_classify(
         return _first_support(items, table, f) is not None
 
     return classify_by(
-        candidates, lambda: not all(derives(f) for f in candidates), derives
+        candidates,
+        lambda: not all(derives(f) for f in candidates),
+        derives,
+        is_contradiction,
     )

@@ -20,7 +20,7 @@ from .formula import FormulaUniverse, Not, render, variables
 MAX_ATOMS = 16  # the largest domain a structure, or a structure file, may have
 
 
-def _check_atom_cap(n_atoms: int, max_atoms: int = MAX_ATOMS) -> None:
+def check_atom_cap(n_atoms: int, max_atoms: int = MAX_ATOMS) -> None:
     if n_atoms > max_atoms:
         raise CapExceededError(
             f"domain of {n_atoms} atoms exceeds the cap of {max_atoms}"
@@ -45,15 +45,15 @@ class FiniteConsequenceStructure:
             raise ValueError("domain labels must be distinct")
         if any(not isinstance(a, str) or not a for a in domain):
             raise ValueError("domain labels must be non-empty strings")
-        _check_atom_cap(len(domain), max_atoms)
+        check_atom_cap(len(domain), max_atoms)
         size = 1 << len(domain)
         table = tuple(table)
         if len(table) != size:
             raise ValueError(f"table must have {size} entries, got {len(table)}")
         full = size - 1
-        for mask, value in enumerate(table):
-            if not 0 <= value <= full:
-                raise ValueError(f"table value out of range for subset {mask}")
+        if not 0 <= min(table) <= max(table) <= full:
+            mask = next(m for m, value in enumerate(table) if not 0 <= value <= full)
+            raise ValueError(f"table value out of range for subset {mask}")
         if negation is not None:
             negation = dict(negation)
             missing = [a for a in domain if a not in negation]
@@ -398,7 +398,7 @@ def loads(text: str) -> FiniteConsequenceStructure:
         raise StructureFormatError("'domain' must be a list of labels")
     if len(set(domain)) != len(domain):
         raise StructureFormatError("domain labels must be distinct")
-    _check_atom_cap(len(domain))  # before the 2**n table is allocated
+    check_atom_cap(len(domain))  # before the 2**n table is allocated
     entries = data.get("cn")
     if not isinstance(entries, list):
         raise StructureFormatError("'cn' must be a list of [subset, value] pairs")

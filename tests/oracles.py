@@ -255,6 +255,24 @@ def oracle_transform_table(structure, inclusive=False):
     return table
 
 
+def oracle_sweep_table(structure, inclusive=False):
+    """CnP by the literal n * 2**n sum-over-subsets sweep, one entry at a time.
+
+    Each atom's pass ORs a subset's running union into the subset one atom
+    larger; fast enough at 16 atoms, where the definition's 3**n walk is not.
+    """
+    full = structure.full_mask
+    table = [0 if value == full else value for value in structure.table]
+    for i in range(structure.n_atoms):
+        bit = 1 << i
+        for mask in range(full + 1):
+            if mask & bit:
+                table[mask] |= table[mask ^ bit]
+    if inclusive:
+        table = [value | mask for mask, value in enumerate(table)]
+    return table
+
+
 # ---------------------------------------------------------------------------
 # When a homomorphism survives the transform, read off the source and target
 # tables alone (no call into the transform itself).

@@ -12,6 +12,7 @@ from oracles import (
     oracle_mcs_masks,
     oracle_mcs_masks_by_rows,
     oracle_para_entails,
+    oracle_sweep_table,
     oracle_transform_table,
     random_closure_structure,
     random_structure,
@@ -31,6 +32,7 @@ from paracon import (
     classical_restriction,
     classify,
     entails,
+    is_contradiction,
     is_satisfiable,
     is_theorem,
     maximal_consistent_subsets,
@@ -201,6 +203,31 @@ def test_transform_matches_its_definition_on_random_tables():
             _assert_transform_matches_definition(
                 FiniteConsequenceStructure(LETTERS[:n], table)
             )
+
+
+@pytest.mark.parametrize("inclusive", [False, True])
+def test_transform_at_the_atom_cap(inclusive):
+    # 16 atoms fill each 16-bit packed field: inputs and results include
+    # 0xFFFF and 0, so a narrower or signed field would change the table.
+    rng = random.Random(16)
+    full = 0xFFFF
+    table = [
+        rng.choice((0, full, full, rng.randrange(full + 1))) for _ in range(full + 1)
+    ]
+    table[0], table[1], table[2] = 0, full ^ 1, 1  # {a} and {b} cover the domain
+    s = FiniteConsequenceStructure(LETTERS[:16], table)
+    p = paraconsistentize_finite(s, FunctorOptions(inclusive=inclusive))
+    assert list(p.table) == oracle_sweep_table(s, inclusive)
+    assert p.table[0] == 0 and p.table[3] == full
+
+
+def test_transform_checks_the_atom_cap_first(monkeypatch):
+    s = FiniteConsequenceStructure(
+        LETTERS[:17], [0] * (1 << 17), max_atoms=17
+    )
+    monkeypatch.setattr(parafunctor, "struct", None)  # no packing may start
+    with pytest.raises(CapExceededError, match="domain of 17 atoms exceeds the cap of 16"):
+        paraconsistentize_finite(s)
 
 
 # -- maximal consistent subsets ---------------------------------------------------
@@ -449,16 +476,22 @@ def test_para_entails_at_the_table_boundary(extra, monkeypatch):
     assert bool(scans) == (14 + extra > 16)
 
 
+@pytest.mark.parametrize("width", [16, 17])
 @pytest.mark.parametrize("premises", [[P, Not(P)], [P, Implies(P, Var("x00"))]])
-def test_classify_beyond_the_table(premises, monkeypatch):
-    # 17 variables over premises and candidates: each candidate is decided
-    # by classical entailment, not by one table.
+def test_classify_at_the_table_boundary(premises, width, monkeypatch):
+    # `width` variables over premises and candidates: up to 16 one table
+    # decides derivability and contradictions, beyond it each candidate takes
+    # classical entailment and is_contradiction.
     candidates = build_universe(
-        [Var(f"x{i:02}") for i in range(16)], ("negations", "with_falsum")
+        [Var(f"x{i:02}") for i in range(width - 1)], ("negations", "with_falsum")
     )
-    scans = []
+    scans, contradictions = [], []
     monkeypatch.setattr(
         "paracon.classical.entails", lambda A, f: scans.append(f) or entails(A, f)
+    )
+    monkeypatch.setattr(
+        "paracon.classical.is_contradiction",
+        lambda f: contradictions.append(f) or is_contradiction(f),
     )
     verdict = classify(premises, candidates)
     assert (
@@ -468,7 +501,7 @@ def test_classify_beyond_the_table(premises, monkeypatch):
         verdict.paraconsistent,
         verdict.witness,
     ) == oracle_classification(premises, candidates, False)
-    assert scans
+    assert bool(scans) == bool(contradictions) == (width > 16)
 
 
 # -- para classification -------------------------------------------------------------

@@ -52,9 +52,26 @@ def test_rejects_incomplete_table():
         FiniteConsequenceStructure(("a",), (0,))
 
 
-def test_rejects_out_of_range_values():
-    with pytest.raises(ValueError):
-        FiniteConsequenceStructure(("a",), (0, 5))
+@pytest.mark.parametrize(
+    "table, first",
+    [
+        ((0, 5), 1),
+        ((-1, 1, 2, 3, 4, 5, 6, 8), 0),
+        ((8, 1, 2, 3, 4, 5, 6, -1), 0),
+        ((0, 1, 2, 3, 4, 5, 6, -1), 7),
+        ((0, 1, 2, 3, 4, 5, 6, 8), 7),
+    ],
+)
+def test_rejects_out_of_range_values(table, first):
+    domain = LETTERS[: len(table).bit_length() - 1]
+    with pytest.raises(ValueError, match=f"^table value out of range for subset {first}$"):
+        FiniteConsequenceStructure(domain, table)
+
+
+@pytest.mark.parametrize("bad", ["1", None, [1]])
+def test_rejects_non_int_values(bad):
+    with pytest.raises(TypeError):
+        FiniteConsequenceStructure(("a", "b"), (0, 1, bad, 3))
 
 
 def test_rejects_partial_negation():
