@@ -64,8 +64,9 @@ def test_rejects_incomplete_table():
 )
 def test_rejects_out_of_range_values(table, first):
     domain = LETTERS[: len(table).bit_length() - 1]
-    with pytest.raises(ValueError, match=f"^table value out of range for subset {first}$"):
+    with pytest.raises(ValueError) as excinfo:
         FiniteConsequenceStructure(domain, table)
+    assert str(excinfo.value) == f"table value out of range for subset {first}"
 
 
 @pytest.mark.parametrize("bad", ["1", None, [1]])
