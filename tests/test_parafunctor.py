@@ -475,12 +475,8 @@ def test_para_entails_at_the_table_boundary(extra, monkeypatch):
     assert bool(scans) == (14 + extra > 16)
 
 
-@pytest.mark.parametrize("width", [16, 17])
-@pytest.mark.parametrize("premises", [[P, Not(P)], [P, Implies(P, Var("x00"))]])
-def test_classify_at_the_table_boundary(premises, width, monkeypatch):
-    # `width` variables over premises and candidates: up to 16 one table
-    # decides derivability and contradictions, beyond it each candidate takes
-    # classical entailment and is_contradiction.
+def _classify_counting_scans(premises, width, monkeypatch):
+    """Classify over `width` variables; return whether entails and is_contradiction ran."""
     candidates = build_universe(
         [Var(f"x{i:02}") for i in range(width - 1)], ("negations", "with_falsum")
     )
@@ -500,7 +496,21 @@ def test_classify_at_the_table_boundary(premises, width, monkeypatch):
         verdict.paraconsistent,
         verdict.witness,
     ) == oracle_classification(premises, candidates, False)
-    assert bool(scans) == bool(contradictions) == (width > 16)
+    return bool(scans), bool(contradictions)
+
+
+@pytest.mark.parametrize("premises", [[P, Not(P)], [P, Implies(P, Var("x00"))]])
+def test_classify_at_the_table_boundary(premises, monkeypatch):
+    # 16 variables over premises and candidates: one table decides
+    # derivability and contradictions.
+    assert _classify_counting_scans(premises, 16, monkeypatch) == (False, False)
+
+
+@pytest.mark.parametrize("premises", [[P, Not(P)], [P, Implies(P, Var("x00"))]])
+def test_classify_beyond_the_table(premises, monkeypatch):
+    # 17 variables over premises and candidates: each candidate is decided
+    # by classical entailment and is_contradiction, not by one table.
+    assert _classify_counting_scans(premises, 17, monkeypatch) == (True, True)
 
 
 # -- para classification -------------------------------------------------------------
