@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .formula import And, Formula, FormulaUniverse, Implies, Not, Or, Var, variables
 
@@ -80,14 +80,6 @@ def truth_table(names: Sequence[str]) -> tuple[int, Callable[[Formula], int]]:
     return full, lambda f: _models(f, pattern, full)
 
 
-def truth_tables(
-    formulas: Iterable[Formula], names: Sequence[str]
-) -> tuple[int, Iterator[int]]:
-    """The all-rows mask and, lazily, each formula's satisfying-rows bitmap."""
-    full, models = truth_table(names)
-    return full, map(models, formulas)
-
-
 def evaluate(f: Formula, valuation: Valuation) -> bool:
     """Truth value of f under a valuation total over variables(f)."""
     pattern = {name: 1 if value else 0 for name, value in valuation.items()}
@@ -136,9 +128,9 @@ def is_satisfiable(premises: Iterable[Formula]) -> bool:
     names = sorted({v for f in formulas for v in variables(f)})
     if len(names) > TABLE_VARIABLES:
         return _search(formulas, names)
-    meet, bitmaps = truth_tables(formulas, names)
-    for bits in bitmaps:
-        meet &= bits
+    meet, models = truth_table(names)
+    for f in formulas:
+        meet &= models(f)
         if not meet:
             return False
     return True

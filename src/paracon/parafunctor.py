@@ -13,10 +13,10 @@ monotone, so every consistent subset extends to a maximal one inside A and
 the scan is sound and complete.
 
 Each premise set is compiled once (and cached): its MCSes in canonical order
-and, up to TABLE_VARIABLES variables, its truth table with each MCS's rows.
-A query then evaluates f once over that table and is one AND per MCS: M |- f
-iff no row of M falsifies f.  Wider sets scan the MCSes with classical
-entailment.
+and, up to TABLE_VARIABLES variables, its truth table with each MCS's rows,
+the AND of its members' satisfying-rows bitmaps.  A query then evaluates f
+once over that table and is one AND per MCS: M |- f iff no row of M
+falsifies f.  Wider sets scan the MCSes with classical entailment.
 """
 
 from __future__ import annotations
@@ -35,14 +35,12 @@ from .classical import (
     is_satisfiable,
     tile,
     truth_table,
-    truth_tables,
 )
 from .errors import CapExceededError
 from .formula import Formula, FormulaSet, FormulaUniverse, variables
 from .structures import FiniteConsequenceStructure, check_atom_cap
 
 MCS_CAP = 20
-MEET_TABLE_VARIABLES = 12  # up to this many variables _mcs_masks tables every meet
 _FIELD = 16  # bits per packed table entry ("H"): one per atom, up to MAX_ATOMS
 
 
@@ -99,9 +97,9 @@ def paraconsistentize_finite(
 
 
 class _PremiseTable(NamedTuple):
-    masks: tuple[int, ...]  # the MCSes, in canonical order
+    masks: tuple[int, ...]  # the MCSes: descending size, then ascending mask
     names: Optional[tuple[str, ...]]  # the table's variables; None above the cap
-    rows: tuple[int, ...]  # per MCS, the table rows where all its members hold
+    rows: tuple[int, ...]  # per MCS, the AND of its members' bitmaps; () above the cap
 
 
 @lru_cache(maxsize=8192)
@@ -109,37 +107,30 @@ def _mcs_masks(items: tuple[Formula, ...]) -> _PremiseTable:
     n = len(items)
     names = sorted({v for f in items for v in variables(f)})
     if len(names) <= TABLE_VARIABLES:
-        # Truth-table route: one satisfying-rows bitmap per premise; a subset
-        # is satisfiable iff its members' bitmaps intersect.
-        full, models = truth_tables(items, names)
-        bitmaps = list(models)
-        if len(names) <= MEET_TABLE_VARIABLES:
-            # Table every subset's intersection, each from a smaller one:
-            # 2**n ints of up to 2**v bits, so only for narrow tables.
-            meet = [full] * (1 << n)
-            for mask in range(1, 1 << n):
+        # One satisfying-rows bitmap per premise: a subset's rows are the AND
+        # of its members' bitmaps, lowest bit first, cut at the first empty one.
+        full, models = truth_table(names)
+        bitmaps = [models(f) for f in items]
+
+        def rows_of(mask: int) -> int:
+            bits = full
+            while mask and bits:
                 low = mask & -mask
-                meet[mask] = meet[mask ^ low] & bitmaps[low.bit_length() - 1]
-            rows_of = meet.__getitem__
-        else:
-            # Wider tables: AND the members' bitmaps for each mask tested.
-            def rows_of(mask: int) -> int:
-                bits = full
-                for i in range(n):
-                    if mask >> i & 1:
-                        bits &= bitmaps[i]
-                return bits
+                bits &= bitmaps[low.bit_length() - 1]
+                mask ^= low
+            return bits
 
     else:
         # Beyond TABLE_VARIABLES: one backtracking search per mask tested.
         def rows_of(mask: int) -> bool:
             return is_satisfiable(items[i] for i in range(n) if mask >> i & 1)
 
-    # Masks sorted by (descending cardinality, ascending bitmask); a mask is
-    # maximal iff satisfiable and not contained in an earlier maximal one.
+    # Masks by descending cardinality, ties in ascending order (the sort is
+    # stable under reverse); a mask is maximal iff satisfiable and not
+    # contained in an earlier maximal one.
     found: list[int] = []
     rows: list[int] = []
-    for mask in sorted(range(1 << n), key=lambda m: (-m.bit_count(), m)):
+    for mask in sorted(range(1 << n), key=int.bit_count, reverse=True):
         if any(mask & big == mask for big in found):
             continue
         bits = rows_of(mask)

@@ -9,10 +9,11 @@ table, so every verdict comes with a replayable witness or counterexample.
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .classical import TABLE_VARIABLES, truth_tables
+from .classical import TABLE_VARIABLES, truth_table
 from .errors import CapExceededError, StructureFormatError
 from .formula import FormulaUniverse, Not, render, variables
 
@@ -51,6 +52,13 @@ class FiniteConsequenceStructure:
         if len(table) != size:
             raise ValueError(f"table must have {size} entries, got {len(table)}")
         full = size - 1
+        try:
+            # Rejects any non-int value in C (bools pass).  An int too wide
+            # for 64 bits fails here too, and is out of range below.
+            struct.pack(f"<{size}q", *table)
+        except struct.error:
+            if not all(isinstance(value, int) for value in table):
+                raise TypeError("table values must be ints") from None
         if not 0 <= min(table) <= max(table) <= full:
             mask = next(m for m, value in enumerate(table) if not 0 <= value <= full)
             raise ValueError(f"table value out of range for subset {mask}")
@@ -309,8 +317,8 @@ def classical_restriction(
     # One bitmask of satisfied members per valuation, read off the members'
     # truth tables; Cn(A) is then the intersection of the rows containing A
     # (empty intersection: everything).
-    all_rows, models = truth_tables(formulas, names)
-    bitmaps = list(models)
+    all_rows, models = truth_table(names)
+    bitmaps = [models(f) for f in formulas]
     rows = []
     for k in range(all_rows.bit_length()):
         row = 0

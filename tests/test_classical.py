@@ -22,7 +22,7 @@ from paracon import (
     is_satisfiable,
     is_theorem,
 )
-from paracon.classical import TABLE_VARIABLES, truth_tables
+from paracon.classical import TABLE_VARIABLES, truth_table
 
 P, Q, R = Var("p"), Var("q"), Var("r")
 FALSUM = And(P, Not(P))
@@ -107,10 +107,11 @@ def test_truth_table_rows_follow_product_order():
     # names[0] is the most significant row bit, as in itertools.product
     names = ["a", "b", "c"]
     formulas = [Var("a"), Var("c"), Implies(Var("a"), Not(Var("b")))]
-    full, models = truth_tables(formulas, names)
+    full, models = truth_table(names)
     rows = [dict(zip(names, v)) for v in itertools.product((False, True), repeat=3)]
     assert full == (1 << len(rows)) - 1
-    for f, bits in zip(formulas, models):
+    for f in formulas:
+        bits = models(f)
         assert [bits >> r & 1 == 1 for r in range(len(rows))] == [
             oracle_eval(f, env) for env in rows
         ]

@@ -1,6 +1,9 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -32,6 +35,7 @@ from paracon import (
     classical_restriction,
     classify,
     entails,
+    format_formula_set,
     is_contradiction,
     is_satisfiable,
     is_theorem,
@@ -275,8 +279,8 @@ def test_mcs_matches_oracle_order():
 
 @pytest.mark.parametrize("width", [12, 13, 16, 17])
 def test_mcs_at_the_truth_table_boundaries(width):
-    # up to 12 variables every subset's meet is tabled, 13-16 intersect the
-    # members' bitmaps per mask, above 16 each mask is a backtracking search
+    # up to 16 variables each mask tested ANDs its members' bitmaps, above
+    # 16 each mask tested is a backtracking search
     xs = [Var(f"x{i:02}") for i in range(width)]
     everything = xs[0]
     for x in xs[1:]:
@@ -297,6 +301,78 @@ def test_mcs_at_the_truth_table_boundaries(width):
     ]
     assert len(want) > 2
     assert maximal_consistent_subsets(premises) == want
+
+
+def _pairs_and_fillers(n_premises, n_vars, seed=0):
+    # x_i, ~x_i pairs plus distinct two-variable fillers that name every
+    # other variable: many premises over a narrow truth table.
+    rng = random.Random(seed)
+    xs = [Var(f"x{i}") for i in range(4)]
+    vs = [Var(f"v{i:02}") for i in range(n_vars - len(xs))]
+    premises = [g for x in xs for g in (x, Not(x))]
+    k = 0
+    while len(premises) < n_premises:
+        a, b = vs[k % len(vs)], vs[(k + 1) % len(vs)]
+        k += 1
+        f = rng.choice(
+            [Or(a, Not(b)), Implies(And(a, b), rng.choice(xs)), And(a, Not(b))]
+        )
+        if f not in premises:
+            premises.append(f)
+    return FormulaSet(premises)
+
+
+@pytest.mark.parametrize("n_premises, n_vars", [(14, 9), (16, 12), (18, 12)])
+def test_wide_listing_matches_the_row_oracle(n_premises, n_vars):
+    premises = _pairs_and_fillers(n_premises, n_vars)
+    items = premises.items
+    assert len(items) == n_premises
+    assert len(set().union(*map(variables, items))) == n_vars
+    want = [
+        FormulaSet(items[i] for i in range(n_premises) if mask >> i & 1)
+        for mask in oracle_mcs_masks_by_rows(items)
+    ]
+    assert len(want) >= 16
+    assert maximal_consistent_subsets(premises) == want
+    x, v = Var("x1"), Var("v00")
+    for conclusion in (Not(x), Or(x, v), Implies(v, Var("x3")), Var("q")):
+        literal = next((m for m in want if oracle_entails(m, conclusion)), None)
+        witness = para_entails(premises, conclusion)
+        assert (witness and witness.support) == literal, render(conclusion)
+
+
+def test_wide_listing_memory():
+    # Listing this base peaks near 30 MB; tabling every subset's meet (2**18
+    # ints of up to 4096 bits) took it to about 100 MB.
+    resource = pytest.importorskip("resource")
+    premises = _pairs_and_fillers(18, 12)
+    child = (
+        "import resource, sys\n"
+        "from paracon import maximal_consistent_subsets, parse_formula_set\n"
+        "premises = parse_formula_set(sys.stdin.read())\n"
+        "assert len(maximal_consistent_subsets(premises)) >= 16\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(parafunctor.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")])
+    )
+    # A child keeps its parent's peak RSS across exec, so a fresh interpreter
+    # starts the measured one instead of this process.
+    launch = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
+    result = subprocess.run(
+        [sys.executable, "-c", launch, sys.executable, "-c", child],
+        input=format_formula_set(premises),
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    # ru_maxrss is in bytes on macOS and in KiB elsewhere
+    scale = 1 << 20 if sys.platform == "darwin" else 1 << 10
+    assert int(result.stdout) / scale < 60, "peak RSS in MB"
 
 
 def test_mcs_cap():

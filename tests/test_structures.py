@@ -74,7 +74,7 @@ def test_out_of_range_error_names_first_bad_subset(table, first):
     assert str(excinfo.value) == f"table value out of range for subset {first}"
 
 
-@pytest.mark.parametrize("bad", ["1", None, [1]])
+@pytest.mark.parametrize("bad", ["1", None, [1], 0.5, float("nan")])
 def test_rejects_non_int_values(bad):
     with pytest.raises(TypeError):
         FiniteConsequenceStructure(("a", "b"), (0, 1, bad, 3))
