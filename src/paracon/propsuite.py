@@ -91,20 +91,49 @@ EXPECTED_VERDICTS: dict[str, tuple[bool, bool]] = {
 }
 
 
+# Formulas compare structurally, so every leaf naming p can be one object.
+_LEAVES = tuple(Var(name) for name in VARIABLE_POOL)
+_LEAF_BITS = len(_LEAVES).bit_length()
+_BINARY = (And, Or, Implies)  # kinds 2, 3 and 4
+
+
+def _draw_formula(bits: Callable[[int], int], depth: int) -> Formula:
+    """One formula, drawn as `random.Random.choice` draws.
+
+    choice(seq) takes len(seq).bit_length() bits and redraws while the value
+    is out of range (`_randbelow_with_getrandbits`): 3 bits for the five
+    kinds, 2 for the three variables.  The left child is drawn first.
+    """
+    kind = 0  # var
+    if depth:
+        kind = bits(3)
+        while kind > 4:
+            kind = bits(3)
+    if not kind:
+        leaf = bits(_LEAF_BITS)
+        while leaf >= len(_LEAVES):
+            leaf = bits(_LEAF_BITS)
+        return _LEAVES[leaf]
+    if kind == 1:
+        return Not(_draw_formula(bits, depth - 1))
+    left = _draw_formula(bits, depth - 1)
+    return _BINARY[kind - 2](left, _draw_formula(bits, depth - 1))
+
+
 class FormulaSampler:
-    """Seeded random formulas over {p, q, r}, depth-bounded."""
+    """Seeded random formulas over {p, q, r}, depth-bounded.
+
+    Each node draws its kind from (var, not, and, or, implies) and each leaf
+    its variable from VARIABLE_POOL with random.choice's draws, read straight
+    from getrandbits: the formulas, and the generator state after each one,
+    are those of `rng.choice`.
+    """
 
     def __init__(self, rng: random.Random):
         self.rng = rng
 
     def formula(self, depth: int = MAX_DEPTH) -> Formula:
-        kind = self.rng.choice(("var", "not", "and", "or", "implies")) if depth else "var"
-        if kind == "var":
-            return Var(self.rng.choice(VARIABLE_POOL))
-        if kind == "not":
-            return Not(self.formula(depth - 1))
-        left, right = self.formula(depth - 1), self.formula(depth - 1)
-        return {"and": And, "or": Or, "implies": Implies}[kind](left, right)
+        return _draw_formula(self.rng.getrandbits, depth)
 
     def premise_set(self, min_size: int = 0, max_size: int = MAX_PREMISES) -> FormulaSet:
         size = self.rng.randint(min_size, max_size)
@@ -178,8 +207,11 @@ def _run_trials(
     """Run trials until `trials` of them meet their precondition.
 
     The trial callback returns True (law held), None (precondition not met,
-    does not count), or a violation-evidence dict (law broken).
+    does not count), or a violation-evidence dict (law broken).  A count
+    below one raises ValueError before anything is drawn.
     """
+    if trials < 1:
+        raise ValueError("confirmations need at least one trial")
     sampler = FormulaSampler(_rng(seed, label))
     effective = 0
     attempts = 0
@@ -525,9 +557,10 @@ _ROW_BUILDERS = (
 
 
 def verify_table(seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS) -> list[TableRow]:
-    """Build all eleven property rows; deterministic for a fixed seed."""
-    if trials < 1:
-        raise ValueError("confirmations need at least one trial")
+    """Build all eleven property rows; deterministic for a fixed seed.
+
+    Raises ValueError when `trials` is below one.
+    """
     return [builder(seed, trials) for builder in _ROW_BUILDERS]
 
 
@@ -570,7 +603,10 @@ def _claim(
 def check_support_laws(
     seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS
 ) -> list[ClaimResult]:
-    """Laws about |-P supports: contradictions, theorems, and singletons."""
+    """Laws about |-P supports: contradictions, theorems, and singletons.
+
+    Raises ValueError when `trials` is below one.
+    """
     results = []
 
     # (a) no premise set para-derives a contradiction
@@ -648,7 +684,10 @@ def check_support_laws(
 def check_deduction_and_weak_transitivity(
     seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS
 ) -> list[ClaimResult]:
-    """Deduction and weak transitivity under |-P, plus their failure modes."""
+    """Deduction and weak transitivity under |-P, plus their failure modes.
+
+    Raises ValueError when `trials` is below one.
+    """
     results = []
     laws = (
         ("deduction", _deduction_trial, "A + {a} |-P b implies A |-P a -> b"),

@@ -315,3 +315,23 @@ def survival_obstruction(candidate):
         if covered != full:
             return src.labels_of(mask)
     return None
+
+
+class ChoiceFormulaSampler:
+    """The formula sampler as first written, drawing with `random.choice`.
+
+    `propsuite.FormulaSampler` reads the same draws straight from
+    `getrandbits`; this is the reference it must match draw for draw.
+    """
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def formula(self, depth=4):
+        kind = self.rng.choice(("var", "not", "and", "or", "implies")) if depth else "var"
+        if kind == "var":
+            return Var(self.rng.choice(("p", "q", "r")))
+        if kind == "not":
+            return Not(self.formula(depth - 1))
+        left, right = self.formula(depth - 1), self.formula(depth - 1)
+        return {"and": And, "or": Or, "implies": Implies}[kind](left, right)

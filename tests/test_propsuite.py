@@ -1,9 +1,10 @@
 import hashlib
+import random
 
 import pytest
 
 import paracon.propsuite as propsuite
-from oracles import identity_structure
+from oracles import ChoiceFormulaSampler, identity_structure
 from paracon import (
     EXPECTED_VERDICTS,
     Formula,
@@ -61,9 +62,31 @@ def test_render_table_layout(rows):
     assert text.endswith("\n")
 
 
-def test_zero_trials_rejected():
-    with pytest.raises(ValueError):
-        verify_table(trials=0)
+def test_zero_trials_rejected(monkeypatch):
+    """Each battery rejects a count below one with ValueError, before any draw."""
+
+    def no_draws(seed, label):
+        raise AssertionError(f"drew for {label!r}")
+
+    monkeypatch.setattr(propsuite, "_rng", no_draws)
+    for battery in (verify_table, check_support_laws, check_deduction_and_weak_transitivity):
+        for trials in (0, -3):
+            with pytest.raises(ValueError, match="confirmations need at least one trial"):
+                battery(seed=0, trials=trials)
+
+
+# -- sampler -------------------------------------------------------------------
+
+
+def test_sampler_draws_as_random_choice_does():
+    """Same formulas and generator state as the random.choice reference."""
+    depths = (propsuite.MAX_DEPTH, 0, 2, 2, propsuite.MAX_DEPTH, 0)
+    for seed in range(300):
+        fast = propsuite.FormulaSampler(random.Random(seed))
+        reference = ChoiceFormulaSampler(random.Random(seed))
+        for depth in depths:
+            assert fast.formula(depth) == reference.formula(depth), (seed, depth)
+            assert fast.rng.getstate() == reference.rng.getstate(), (seed, depth)
 
 
 def test_every_row_reports_its_trial_counts(rows):
