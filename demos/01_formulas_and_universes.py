@@ -6,7 +6,7 @@ A walk through the syntax layer: the ASCII grammar, structural identity,
 and how finite candidate universes are built from a seed set.
 """
 
-from paracon import build_universe, parse, render, variables
+from paracon import FormulaSet, build_universe, parse, render, variables
 
 # Parse text into a structural tree.  Precedence is ~ then & then | then ->,
 # with -> associating to the right.
@@ -32,4 +32,6 @@ universe = build_universe(
 print("\nuniverse over {p, ~p} with every closure applied:")
 for member in universe:
     print("  ", render(member))
-print("falsum member:", render(universe.falsum))
+# The falsum member is p0 & ~p0 for the least seed variable p0.
+print("falsum p & ~p is a member:", parse("p & ~p") in universe)
+print("a universe is a FormulaSet:", isinstance(universe, FormulaSet))

@@ -24,7 +24,6 @@ from .formula import (
     CLOSURE_FLAGS,
     Formula,
     FormulaSet,
-    FormulaUniverse,
     Implies,
     Not,
     Or,
@@ -90,7 +89,6 @@ __all__ = [
     "FiniteConsequenceStructure",
     "Formula",
     "FormulaSet",
-    "FormulaUniverse",
     "FunctorOptions",
     "HomomorphismCandidate",
     "Implies",

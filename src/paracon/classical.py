@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .formula import And, Formula, FormulaUniverse, Implies, Not, Or, Var, variables
+from .formula import And, Formula, FormulaSet, Implies, Not, Or, Var, variables
 
 Valuation = Mapping[str, bool]
 
@@ -181,7 +181,7 @@ class SetClassification:
 
 
 def classify(
-    premises: Iterable[Formula], candidates: FormulaUniverse
+    premises: Iterable[Formula], candidates: FormulaSet
 ) -> SetClassification:
     """Classify a premise set by searching the candidate universe.
 
@@ -212,7 +212,7 @@ def classify(
 
 
 def classify_by(
-    candidates: FormulaUniverse,
+    candidates: FormulaSet,
     consistent: Callable[[], bool],
     derives: Callable[[Formula], bool],
     contradiction: Callable[[Formula], bool],

@@ -304,6 +304,13 @@ class FormulaSet:
                 seen.append(f)
         object.__setattr__(self, "items", tuple(seen))
 
+    @classmethod
+    def _of_distinct(cls, items: tuple[Formula, ...]) -> FormulaSet:
+        """Wrap formulas already known to be distinct, without a dedupe pass."""
+        fs = cls.__new__(cls)
+        object.__setattr__(fs, "items", items)
+        return fs
+
     def __iter__(self) -> Iterator[Formula]:
         return iter(self.items)
 
@@ -346,29 +353,17 @@ def read_formula_set(path) -> FormulaSet:
 CLOSURE_FLAGS = ("subformulas", "negations", "conjunctions", "with_falsum")
 
 
-@dataclass(frozen=True)
-class FormulaUniverse:
-    """Finite ordered set of distinct formulas closed per its recorded flags."""
-
-    items: tuple[Formula, ...]
-    flags: tuple[str, ...]
-    falsum: Formula | None = None
-
-    def __iter__(self) -> Iterator[Formula]:
-        return iter(self.items)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __contains__(self, f: object) -> bool:
-        return f in self.items
+def falsum_of(names: Iterable[str]) -> Formula | None:
+    """p0 & ~p0 for the least variable name p0; None when there is none."""
+    least = min(names, default=None)
+    return None if least is None else And(Var(least), Not(Var(least)))
 
 
 def build_universe(
     seed: Iterable[Formula],
     flags: Iterable[str] = (),
     max_size: int = 4096,
-) -> FormulaUniverse:
+) -> FormulaSet:
     """Close a seed set of formulas under the requested one-level closures.
 
     Flags: ``with_falsum`` adds p0 & ~p0 for the lexicographically least seed
@@ -398,11 +393,8 @@ def build_universe(
     for f in seed_items:
         add(f)
 
-    falsum = None
     if "with_falsum" in flag_set:
-        least = min(v for f in seed_items for v in variables(f))
-        falsum = And(Var(least), Not(Var(least)))
-        add(falsum)
+        add(falsum_of(v for f in seed_items for v in variables(f)))
 
     if "subformulas" in flag_set:
         frontier = 0
@@ -421,4 +413,4 @@ def build_universe(
             for right in core[i + 1 :]:
                 add(And(left, right))
 
-    return FormulaUniverse(tuple(items), tuple(sorted(flag_set)), falsum)
+    return FormulaSet._of_distinct(tuple(items))

@@ -37,7 +37,7 @@ from .classical import (
     truth_table,
 )
 from .errors import CapExceededError
-from .formula import Formula, FormulaSet, FormulaUniverse, variables
+from .formula import Formula, FormulaSet, variables
 from .structures import FiniteConsequenceStructure, check_atom_cap
 
 MCS_CAP = 20
@@ -200,7 +200,7 @@ def para_entails(
 
 
 def para_classify(
-    premises: Iterable[Formula], candidates: FormulaUniverse
+    premises: Iterable[Formula], candidates: FormulaSet
 ) -> SetClassification:
     """Classify a premise set under |-P over a finite candidate universe.
 

@@ -7,6 +7,10 @@ the suite is a regression detector, and every verdict carries replayable
 evidence and a trial count (a confirmation with zero trials is forbidden).
 Each law the two relations share is written once, against a `Relation`
 record, and run under both |- and |-P.
+
+The table and both claim batteries are data: `verify_table` runs each
+row's |- column, then its |-P column, and `_battery` runs each claim's
+trials, then its directed check.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ MAX_PREMISES = 5
 
 P, Q = Var("p"), Var("q")
 FALSUM = And(P, Not(P))  # p & ~p
+PAIR = FormulaSet([P, Not(P)])
 
 
 @dataclass(frozen=True)
@@ -325,15 +330,63 @@ def _chain_trial(s: FormulaSampler):
     return {"A": premises.render(), "B": middle.render(), "c": _r(conclusion)}
 
 
+def _inclusion_trial(s: FormulaSampler):
+    premises = s.premise_set(min_size=1)
+    for member in premises:
+        if not entails(premises, member):
+            return {"A": premises.render(), "member": _r(member)}
+    return True
+
+
+def _paraconsistent_trial(s: FormulaSampler):
+    premises = s.premise_set(min_size=1)
+    candidates = build_universe(premises, ("subformulas", "negations"))
+    verdict = classify(premises, candidates)
+    if not verdict.paraconsistent:
+        return True
+    return {"A": premises.render(), "witness": _r(verdict.witness)}
+
+
+def _theorem_trial(s: FormulaSampler):
+    # |-P-consequences of a theorem are theorems, derivable from any set.
+    theorem = s.tautology()
+    if not is_theorem(theorem):
+        return None
+    roll = s.rng.random()
+    conclusion = s.tautology() if roll < 0.5 else s.formula()
+    if para_entails([theorem], conclusion) is None:
+        return None
+    if not is_theorem(conclusion):
+        return {"b": _r(theorem), "c": _r(conclusion), "broken": "not a theorem"}
+    for _ in range(3):
+        premises = s.premise_set()
+        if para_entails(premises, conclusion) is None:
+            return {"b": _r(theorem), "c": _r(conclusion), "A": premises.render()}
+    return True
+
+
+def _singleton_trial(s: FormulaSampler):
+    # A singleton support means theoremhood or consistent classical entailment.
+    single = s.formula()
+    roll = s.rng.random()
+    conclusion = Or(single, s.formula(2)) if roll < 0.5 else s.formula()
+    if para_entails([single], conclusion) is None:
+        return None
+    if is_theorem(conclusion):
+        return True
+    if is_satisfiable([single]) and entails([single], conclusion):
+        return True
+    return {"a": _r(single), "b": _r(conclusion)}
+
+
 def _transitivity_counterexample() -> bool:
     """Replay the paraclassical transitivity failure; True when it replays."""
-    a_set = FormulaSet([P, Not(P)])
     b_set = FormulaSet([Or(P, Q), Not(P)])
     return (
-        para_entails(a_set, Or(P, Q)) is not None
-        and para_entails(a_set, Not(P)) is not None
+        para_entails(PAIR, Or(P, Q)) is not None
+        and para_entails(PAIR, Not(P)) is not None
         and para_entails(b_set, Q) is not None
-        and para_entails(a_set, Q) is None
+        and para_entails(PAIR, Q) is None
     )
 
 
@@ -346,222 +399,174 @@ def _deduction_converse_fails() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Table rows
+# Columns: one relation's side of a table row.  A column takes (seed, RNG
+# label, trials) and returns (holds, trials run or None, violation or None).
+
+Column = Callable[[int, str, int], tuple[bool, Optional[int], Optional[dict]]]
 
 
-def _law_row(
-    name: str,
-    seed: int,
-    trials: int,
-    trial: Callable[[FormulaSampler, Relation], Optional[bool | dict]],
-    evidence: str,
-    instance: Callable[[], bool] = lambda: True,
-    instance_failure: Optional[dict] = None,
-) -> TableRow:
-    """Run a law's trials under |- and then |-P; the |-P verdict also needs
-    the directed instance, replayed after the trials, to hold.
+def _law(
+    trial: Callable[[FormulaSampler], Optional[bool | dict]],
+    instance: Optional[Callable[[], bool]] = None,
+    failure: Optional[dict] = None,
+) -> Column:
+    """Holds when no trial breaks the law and the directed instance, replayed
+    after the trials, holds; `failure` is the evidence when it does not."""
 
-    `evidence` is a template whose {trials} field receives both counts.
-    """
-    (n_cn, v_cn), (n_cnp, v_cnp) = [
-        _run_trials(seed, f"{name}:{rel.label}", trials, partial(trial, rel=rel))
-        for rel in (CLASSICAL, PARA)
-    ]
-    instance_ok = instance()
-    text = evidence.format(trials=f"{n_cn}+{n_cnp}")
-    if v_cn or v_cnp or not instance_ok:
-        text = _render_violation(v_cn or v_cnp or instance_failure)
-    return TableRow(name, v_cn is None, v_cnp is None and instance_ok, text)
+    def column(seed: int, label: str, trials: int):
+        n, violation = _run_trials(seed, label, trials, trial)
+        if instance is None or instance():
+            return violation is None, n, violation
+        return False, n, violation or failure
+
+    return column
 
 
-def _row_finiteness(seed: int, trials: int) -> TableRow:
-    return _law_row(
+def _found(trial: Callable[[FormulaSampler], Optional[bool | dict]]) -> Column:
+    """Holds when some trial finds an instance (returns its evidence dict)."""
+
+    def column(seed: int, label: str, trials: int):
+        n, instance = _run_trials(seed, label, trials, trial)
+        return instance is not None, n, instance
+
+    return column
+
+
+def _replay(check: Callable[[], bool]) -> Column:
+    """A directed check, with no trials."""
+    return lambda seed, label, trials: (check(), None, None)
+
+
+# ---------------------------------------------------------------------------
+# Table rows: (name, RNG label prefix, |- column, |-P column, evidence
+# template).  The template's {cn} and {cnp} fields receive the trial counts.
+
+_ROWS: tuple[tuple[str, str, Column, Column, str], ...] = (
+    (
         "finiteness",
-        seed,
-        trials,
-        _finiteness_trial,
+        "finiteness",
+        _law(partial(_finiteness_trial, rel=CLASSICAL)),
+        _law(partial(_finiteness_trial, rel=PARA)),
         "finite supports found for every sampled consequence "
-        "({trials} trials; vacuous at finite scale)",
-    )
-
-
-def _row_monotonicity(seed: int, trials: int) -> TableRow:
-    return _law_row(
+        "({cn}+{cnp} trials; vacuous at finite scale)",
+    ),
+    (
         "monotonicity",
-        seed,
-        trials,
-        _monotonicity_trial,
-        "preserved under premise growth in {trials} trials; "
-        "instance {{p}} into {{p, ~p}} keeps p | q",
-        lambda: (
-            entails([P], Or(P, Q))
-            and entails([P, Not(P)], Or(P, Q))
-            and para_entails([P], Or(P, Q)) is not None
-            and para_entails([P, Not(P)], Or(P, Q)) is not None
+        "monotonicity",
+        _law(partial(_monotonicity_trial, rel=CLASSICAL)),
+        _law(
+            partial(_monotonicity_trial, rel=PARA),
+            lambda: (
+                entails([P], Or(P, Q))
+                and entails([P, Not(P)], Or(P, Q))
+                and para_entails([P], Or(P, Q)) is not None
+                and para_entails([P, Not(P)], Or(P, Q)) is not None
+            ),
+            {"instance": "failed"},
         ),
-        {"instance": "failed"},
-    )
-
-
-def _row_inclusion(seed: int, trials: int) -> TableRow:
-    def trial_cn(s: FormulaSampler):
-        premises = s.premise_set(min_size=1)
-        for member in premises:
-            if not entails(premises, member):
-                return {"A": premises.render(), "member": _r(member)}
-        return True
-
-    n_cn, v_cn = _run_trials(seed, "inclusion:cn", trials, trial_cn)
-    # The paraclassical counterexample: a self-contradiction loses itself.
-    counterexample_replays = para_entails([FALSUM], FALSUM) is None
-    evidence = (
-        f"classical: every member re-derivable in {n_cn} trials; "
-        f"para: {{p & ~p}} does not derive p & ~p"
-    )
-    if v_cn:
-        evidence = _render_violation(v_cn)
-    return TableRow("inclusion", v_cn is None, not counterexample_replays, evidence)
-
-
-def _row_idempotency(seed: int, trials: int) -> TableRow:
-    n_cn, v_cn = _run_trials(seed, "idempotency:cn", trials, _chain_trial)
-    counterexample_replays = _transitivity_counterexample()
-    evidence = (
-        f"classical: consequence chains stay closed in {n_cn} trials; "
-        f"para: {{p | q, ~p}} lies inside the consequences of {{p, ~p}} "
-        f"yet adds q"
-    )
-    if v_cn:
-        evidence = _render_violation(v_cn)
-    return TableRow("idempotency", v_cn is None, not counterexample_replays, evidence)
-
-
-def _row_transitivity(seed: int, trials: int) -> TableRow:
-    n_cn, v_cn = _run_trials(seed, "transitivity:cn", trials, _chain_trial)
-    counterexample_replays = _transitivity_counterexample()
-    evidence = (
-        f"classical: holds in {n_cn} trials; "
-        f"para: A={{p, ~p}}, B={{p | q, ~p}}, a=q"
-    )
-    if v_cn:
-        evidence = _render_violation(v_cn)
-    return TableRow("transitivity", v_cn is None, not counterexample_replays, evidence)
-
-
-def _row_weak_transitivity(seed: int, trials: int) -> TableRow:
-    return _law_row(
+        "preserved under premise growth in {cn}+{cnp} trials; "
+        "instance {{p}} into {{p, ~p}} keeps p | q",
+    ),
+    (
+        "inclusion",
+        "inclusion",
+        _law(_inclusion_trial),
+        # The paraclassical counterexample: a self-contradiction loses itself.
+        _replay(lambda: para_entails([FALSUM], FALSUM) is not None),
+        "classical: every member re-derivable in {cn} trials; "
+        "para: {{p & ~p}} does not derive p & ~p",
+    ),
+    (
+        "idempotency",
+        "idempotency",
+        _law(_chain_trial),
+        _replay(lambda: not _transitivity_counterexample()),
+        "classical: consequence chains stay closed in {cn} trials; "
+        "para: {{p | q, ~p}} lies inside the consequences of {{p, ~p}} yet adds q",
+    ),
+    (
+        "transitivity",
+        "transitivity",
+        _law(_chain_trial),
+        _replay(lambda: not _transitivity_counterexample()),
+        "classical: holds in {cn} trials; para: A={{p, ~p}}, B={{p | q, ~p}}, a=q",
+    ),
+    (
         "weak transitivity",
-        seed,
-        trials,
-        _weak_transitivity_trial,
-        "single-formula middle steps compose in {trials} trials",
-    )
-
-
-def _row_deduction(seed: int, trials: int) -> TableRow:
-    return _law_row(
+        "weak transitivity",
+        _law(partial(_weak_transitivity_trial, rel=CLASSICAL)),
+        _law(partial(_weak_transitivity_trial, rel=PARA)),
+        "single-formula middle steps compose in {cn}+{cnp} trials",
+    ),
+    (
         "deduction",
-        seed,
-        trials,
-        _deduction_trial,
-        "holds in {trials} trials; converse fails for para: "
+        "deduction",
+        _law(partial(_deduction_trial, rel=CLASSICAL)),
+        _law(
+            partial(_deduction_trial, rel=PARA),
+            _deduction_converse_fails,
+            {"converse instance": "failed"},
+        ),
+        "holds in {cn}+{cnp} trials; converse fails for para: "
         "{{q, p & ~p}} does not derive p & ~p",
-        _deduction_converse_fails,
-        {"converse instance": "failed"},
-    )
-
-
-def _row_inconsistent_sets(seed: int, trials: int) -> TableRow:
-    # Classical: an unsatisfiable set entails everything.
-    classical_exists = (not is_satisfiable([FALSUM])) and entails([FALSUM], Q)
-    n_cnp, v_cnp = _run_trials(
-        seed, "inconsistent sets:cnp", trials, _contradiction_trial
-    )
-    evidence = (
-        f"classical: {{p & ~p}} derives everything; para: every sampled set "
-        f"left a contradiction underivable ({n_cnp} trials)"
-    )
-    if v_cnp:
-        evidence = _render_violation(v_cnp)
-    return TableRow(
-        "inconsistent sets", classical_exists, v_cnp is not None, evidence
-    )
-
-
-def _row_contradictory_sets(seed: int, trials: int) -> TableRow:
-    pair = FormulaSet([P, Not(P)])
-    classical_exists = entails(pair, P) and entails(pair, Not(P))
-    para_exists = (
-        para_entails(pair, P) is not None and para_entails(pair, Not(P)) is not None
-    )
-    evidence = "both derive p and ~p from {p, ~p} (para supports {p} and {~p})"
-    return TableRow("contradictory sets", classical_exists, para_exists, evidence)
-
-
-def _row_strongly_contradictory_sets(seed: int, trials: int) -> TableRow:
-    classical_exists = is_contradiction(FALSUM) and entails([P, Not(P)], FALSUM)
-    n_cnp, v_cnp = _run_trials(
-        seed, "strongly contradictory:cnp", trials, _contradiction_trial
-    )
-    evidence = (
-        f"classical: {{p, ~p}} derives p & ~p; para: no contradiction ever "
-        f"derivable ({n_cnp} trials)"
-    )
-    if v_cnp:
-        evidence = _render_violation(v_cnp)
-    return TableRow(
-        "strongly contradictory sets", classical_exists, v_cnp is not None, evidence
-    )
-
-
-def _row_paraconsistent_sets(seed: int, trials: int) -> TableRow:
-    def trial_cn(s: FormulaSampler):
-        premises = s.premise_set(min_size=1)
-        candidates = build_universe(premises, ("subformulas", "negations"))
-        verdict = classify(premises, candidates)
-        if not verdict.paraconsistent:
-            return True
-        return {"A": premises.render(), "witness": _r(verdict.witness)}
-
-    n_cn, v_cn = _run_trials(seed, "paraconsistent sets:cn", trials, trial_cn)
-    pair = FormulaSet([P, Not(P)])
-    candidates = build_universe(FormulaSet([P, Not(P), Q]), ("with_falsum",))
-    para_example = para_classify(pair, candidates)
-    evidence = (
-        f"classical: none found in {n_cn} trials (consistency excludes "
-        f"contradictoriness); para: {{p, ~p}} is consistent and contradictory"
-    )
-    if v_cn:
-        evidence = _render_violation(v_cn)
-    return TableRow(
+    ),
+    (
+        "inconsistent sets",
+        "inconsistent sets",
+        # Classical: an unsatisfiable set entails everything.
+        _replay(lambda: (not is_satisfiable([FALSUM])) and entails([FALSUM], Q)),
+        _found(_contradiction_trial),
+        "classical: {{p & ~p}} derives everything; para: every sampled set "
+        "left a contradiction underivable ({cnp} trials)",
+    ),
+    (
+        "contradictory sets",
+        "contradictory sets",
+        _replay(lambda: entails(PAIR, P) and entails(PAIR, Not(P))),
+        _replay(
+            lambda: para_entails(PAIR, P) is not None
+            and para_entails(PAIR, Not(P)) is not None
+        ),
+        "both derive p and ~p from {{p, ~p}} (para supports {{p}} and {{~p}})",
+    ),
+    (
+        "strongly contradictory sets",
+        "strongly contradictory",
+        _replay(lambda: is_contradiction(FALSUM) and entails([P, Not(P)], FALSUM)),
+        _found(_contradiction_trial),
+        "classical: {{p, ~p}} derives p & ~p; para: no contradiction ever "
+        "derivable ({cnp} trials)",
+    ),
+    (
         "paraconsistent sets",
-        v_cn is not None,
-        para_example.paraconsistent,
-        evidence,
-    )
-
-
-_ROW_BUILDERS = (
-    _row_finiteness,
-    _row_monotonicity,
-    _row_inclusion,
-    _row_idempotency,
-    _row_transitivity,
-    _row_weak_transitivity,
-    _row_deduction,
-    _row_inconsistent_sets,
-    _row_contradictory_sets,
-    _row_strongly_contradictory_sets,
-    _row_paraconsistent_sets,
+        "paraconsistent sets",
+        _found(_paraconsistent_trial),
+        _replay(
+            lambda: para_classify(
+                PAIR, build_universe(FormulaSet([P, Not(P), Q]), ("with_falsum",))
+            ).paraconsistent
+        ),
+        "classical: none found in {cn} trials (consistency excludes "
+        "contradictoriness); para: {{p, ~p}} is consistent and contradictory",
+    ),
 )
 
 
 def verify_table(seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS) -> list[TableRow]:
     """Build all eleven property rows; deterministic for a fixed seed.
 
-    Raises ValueError when `trials` is below one.
+    Each row runs its |- column, then its |-P column; the first violation
+    replaces the evidence text.  Raises ValueError when `trials` is below one.
     """
-    return [builder(seed, trials) for builder in _ROW_BUILDERS]
+    rows = []
+    for name, label, cn, cnp, template in _ROWS:
+        holds_cn, n_cn, v_cn = cn(seed, f"{label}:cn", trials)
+        holds_cnp, n_cnp, v_cnp = cnp(seed, f"{label}:cnp", trials)
+        text = template.format(cn=n_cn, cnp=n_cnp)
+        if v_cn or v_cnp:
+            text = _render_violation(v_cn or v_cnp)
+        rows.append(TableRow(name, holds_cn, holds_cnp, text))
+    return rows
 
 
 def table_matches_expected(rows: list[TableRow]) -> bool:
@@ -585,19 +590,94 @@ def render_table(rows: list[TableRow]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Claim batteries
+# Claim batteries: (claim, RNG label, trial or None, evidence, directed check)
+
+Claim = tuple[str, Optional[str], Optional[Callable], dict, Callable[[], bool]]
 
 
-def _claim(
-    claim: str, trials: int, violation: Optional[dict], evidence: dict, holds=True
-) -> ClaimResult:
-    """Confirmed when no trial broke the law and the directed check holds."""
-    return ClaimResult(
-        claim,
-        "confirmed" if violation is None and holds else "refuted",
-        trials,
-        evidence if violation is None else violation,
-    )
+def _battery(seed: int, trials: int, claims: tuple[Claim, ...]) -> list[ClaimResult]:
+    """Run each claim's trials, then its directed check.
+
+    A claim is confirmed when no trial broke it and the check holds; a claim
+    with no trial is one directed instance.  Raises ValueError when `trials`
+    is below one.
+    """
+    results = []
+    for claim, label, trial, evidence, check in claims:
+        n, violation = 1, None
+        if trial is not None:
+            n, violation = _run_trials(seed, label, trials, trial)
+        verdict = "confirmed" if check() and violation is None else "refuted"
+        results.append(ClaimResult(claim, verdict, n, violation or dict(evidence)))
+    return results
+
+
+_SUPPORT_CLAIMS: tuple[Claim, ...] = (
+    (
+        "contradictions-never-derivable",
+        "support:contradictions",
+        partial(_contradiction_trial, key="b"),
+        {"directed": "{p, ~p} does not para-derive p & ~p"},
+        lambda: para_entails([P, Not(P)], FALSUM) is None,
+    ),
+    (
+        "theorem-consequences-are-universal",
+        "support:theorems",
+        _theorem_trial,
+        {"directed": "{p -> p} |-P q | ~q, a theorem derivable from any set"},
+        lambda: para_entails([Implies(P, P)], Or(Q, Not(Q))) is not None
+        and is_theorem(Or(Q, Not(Q)))
+        and para_entails([FALSUM], Or(Q, Not(Q))) is not None,
+    ),
+    (
+        "singleton-support",
+        "support:singletons",
+        _singleton_trial,
+        {"directed": "{p} |-P p | q with {p} consistent and {p} |- p | q"},
+        lambda: para_entails([P], Or(P, Q)) is not None
+        and is_satisfiable([P])
+        and entails([P], Or(P, Q)),
+    ),
+)
+
+_DEDUCTION_CLAIMS: tuple[Claim, ...] = (
+    (
+        "deduction",
+        "claims:deduction",
+        partial(_deduction_trial, rel=PARA),
+        {"law": "A + {a} |-P b implies A |-P a -> b"},
+        lambda: True,
+    ),
+    (
+        "weak-transitivity",
+        "claims:weak-transitivity",
+        partial(_weak_transitivity_trial, rel=PARA),
+        {"law": "A |-P b and {b} |-P c imply A |-P c"},
+        lambda: True,
+    ),
+    (
+        "deduction-converse-failure",
+        None,
+        None,
+        {
+            "instance": "{q} |-P (p & ~p) -> (p & ~p) "
+            "but {q, p & ~p} does not para-derive p & ~p"
+        },
+        _deduction_converse_fails,
+    ),
+    (
+        "modus-ponens-failure",
+        None,
+        None,
+        {
+            "instance": "{p, ~p} |-P p and |-P p -> (p & ~p), "
+            "yet p & ~p stays underivable"
+        },
+        lambda: para_entails(PAIR, P) is not None
+        and para_entails(PAIR, Implies(P, FALSUM)) is not None
+        and para_entails(PAIR, FALSUM) is None,
+    ),
+)
 
 
 def check_support_laws(
@@ -607,78 +687,7 @@ def check_support_laws(
 
     Raises ValueError when `trials` is below one.
     """
-    results = []
-
-    # (a) no premise set para-derives a contradiction
-    n_a, v_a = _run_trials(
-        seed, "support:contradictions", trials, partial(_contradiction_trial, key="b")
-    )
-    results.append(
-        _claim(
-            "contradictions-never-derivable",
-            n_a,
-            v_a,
-            {"directed": "{p, ~p} does not para-derive p & ~p"},
-            para_entails([P, Not(P)], FALSUM) is None,
-        )
-    )
-
-    # (b) para-consequences of a theorem are theorems, derivable from any set
-    def trial_b(s: FormulaSampler):
-        theorem = s.tautology()
-        if not is_theorem(theorem):
-            return None
-        roll = s.rng.random()
-        conclusion = s.tautology() if roll < 0.5 else s.formula()
-        if para_entails([theorem], conclusion) is None:
-            return None
-        if not is_theorem(conclusion):
-            return {"b": _r(theorem), "c": _r(conclusion), "broken": "not a theorem"}
-        for _ in range(3):
-            premises = s.premise_set()
-            if para_entails(premises, conclusion) is None:
-                return {"b": _r(theorem), "c": _r(conclusion), "A": premises.render()}
-        return True
-
-    n_b, v_b = _run_trials(seed, "support:theorems", trials, trial_b)
-    results.append(
-        _claim(
-            "theorem-consequences-are-universal",
-            n_b,
-            v_b,
-            {"directed": "{p -> p} |-P q | ~q, a theorem derivable from any set"},
-            para_entails([Implies(P, P)], Or(Q, Not(Q))) is not None
-            and is_theorem(Or(Q, Not(Q)))
-            and para_entails([FALSUM], Or(Q, Not(Q))) is not None,
-        )
-    )
-
-    # (c) a singleton support means theoremhood or consistent classical entailment
-    def trial_c(s: FormulaSampler):
-        single = s.formula()
-        roll = s.rng.random()
-        conclusion = Or(single, s.formula(2)) if roll < 0.5 else s.formula()
-        if para_entails([single], conclusion) is None:
-            return None
-        if is_theorem(conclusion):
-            return True
-        if is_satisfiable([single]) and entails([single], conclusion):
-            return True
-        return {"a": _r(single), "b": _r(conclusion)}
-
-    n_c, v_c = _run_trials(seed, "support:singletons", trials, trial_c)
-    results.append(
-        _claim(
-            "singleton-support",
-            n_c,
-            v_c,
-            {"directed": "{p} |-P p | q with {p} consistent and {p} |- p | q"},
-            para_entails([P], Or(P, Q)) is not None
-            and is_satisfiable([P])
-            and entails([P], Or(P, Q)),
-        )
-    )
-    return results
+    return _battery(seed, trials, _SUPPORT_CLAIMS)
 
 
 def check_deduction_and_weak_transitivity(
@@ -688,53 +697,10 @@ def check_deduction_and_weak_transitivity(
 
     Raises ValueError when `trials` is below one.
     """
-    results = []
-    laws = (
-        ("deduction", _deduction_trial, "A + {a} |-P b implies A |-P a -> b"),
-        (
-            "weak-transitivity",
-            _weak_transitivity_trial,
-            "A |-P b and {b} |-P c imply A |-P c",
-        ),
-    )
-    for claim, trial, law in laws:
-        n, violation = _run_trials(
-            seed, f"claims:{claim}", trials, partial(trial, rel=PARA)
-        )
-        results.append(_claim(claim, n, violation, {"law": law}))
-    results.append(
-        _claim(
-            "deduction-converse-failure",
-            1,
-            None,
-            {
-                "instance": "{q} |-P (p & ~p) -> (p & ~p) "
-                "but {q, p & ~p} does not para-derive p & ~p"
-            },
-            _deduction_converse_fails(),
-        )
-    )
-    mp_pair = FormulaSet([P, Not(P)])
-    results.append(
-        _claim(
-            "modus-ponens-failure",
-            1,
-            None,
-            {
-                "instance": "{p, ~p} |-P p and |-P p -> (p & ~p), "
-                "yet p & ~p stays underivable"
-            },
-            para_entails(mp_pair, P) is not None
-            and para_entails(mp_pair, Implies(P, FALSUM)) is not None
-            and para_entails(mp_pair, FALSUM) is None,
-        )
-    )
-    return results
+    return _battery(seed, trials, _DEDUCTION_CLAIMS)
 
 
-def check_paraconsistency_transfer(
-    structure: FiniteConsequenceStructure,
-) -> ClaimResult:
+def check_paraconsistency_transfer(structure: FiniteConsequenceStructure) -> ClaimResult:
     """Sufficient conditions for the transform to yield a paraconsistent result.
 
     When the structure is normal, explosive, jointly consistent and has the
@@ -742,15 +708,16 @@ def check_paraconsistency_transfer(
     verdict is established by exhaustive table checks and carries the
     witnessing premise subset.
     """
-    if structure.negation is None:
+
+    def result(verdict: str, evidence: dict[str, str]) -> ClaimResult:
         return ClaimResult(
-            "paraconsistency-transfer",
-            "not applicable",
-            1 << structure.n_atoms,
-            {
-                "failing hypothesis": "explosion",
-                "reason": "structure has no negation map",
-            },
+            "paraconsistency-transfer", verdict, 1 << structure.n_atoms, evidence
+        )
+
+    if structure.negation is None:
+        reason = "structure has no negation map"
+        return result(
+            "not applicable", {"failing hypothesis": "explosion", "reason": reason}
         )
     hypotheses = (
         ("normal", lambda s: is_normal(s)),
@@ -760,30 +727,18 @@ def check_paraconsistency_transfer(
     )
     for name, probe in hypotheses:
         if not probe(structure):
-            return ClaimResult(
-                "paraconsistency-transfer",
-                "not applicable",
-                1 << structure.n_atoms,
-                {"failing hypothesis": name},
-            )
+            return result("not applicable", {"failing hypothesis": name})
     transformed = paraconsistentize_finite(structure)
     report = check_explosive(transformed)
     if report.holds:
-        return ClaimResult(
-            "paraconsistency-transfer",
-            "refuted",
-            1 << structure.n_atoms,
-            {"problem": "transformed structure is still explosive"},
-        )
+        return result("refuted", {"problem": "transformed structure is still explosive"})
     subset, atom = report.counterexample
     closed = transformed.cn_mask(transformed.mask_of(subset))
     missing = next(
         a for i, a in enumerate(transformed.domain) if not closed >> i & 1
     )
-    return ClaimResult(
-        "paraconsistency-transfer",
+    return result(
         "confirmed",
-        1 << structure.n_atoms,
         {
             "witness premise set": "{" + ", ".join(subset) + "}",
             "derivable pair": f"{atom} and {transformed.negation[atom]}",

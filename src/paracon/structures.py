@@ -15,10 +15,11 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .classical import TABLE_VARIABLES, truth_table
 from .errors import CapExceededError, StructureFormatError
-from .formula import FormulaUniverse, Not, render, variables
+from .formula import FormulaSet, Not, falsum_of, render, variables
 
 
 MAX_ATOMS = 16  # the largest domain a structure, or a structure file, may have
+RESTRICTION_ATOMS = 14  # the largest universe classical_restriction accepts
 
 
 def check_atom_cap(n_atoms: int, max_atoms: int = MAX_ATOMS) -> None:
@@ -42,10 +43,10 @@ class FiniteConsequenceStructure:
         domain = tuple(domain)
         if not domain:
             raise ValueError("empty domain not allowed")
-        if len(set(domain)) != len(domain):
-            raise ValueError("domain labels must be distinct")
         if any(not isinstance(a, str) or not a for a in domain):
             raise ValueError("domain labels must be non-empty strings")
+        if len(set(domain)) != len(domain):
+            raise ValueError("domain labels must be distinct")
         check_atom_cap(len(domain), max_atoms)
         size = 1 << len(domain)
         table = tuple(table)
@@ -287,26 +288,27 @@ def check_conjunctive_property(structure: FiniteConsequenceStructure) -> AxiomRe
     return AxiomReport("conjunctive property", True)
 
 
-def classical_restriction(
-    universe: FormulaUniverse, max_atoms: int = 14
-) -> FiniteConsequenceStructure:
+def classical_restriction(universe: FormulaSet) -> FiniteConsequenceStructure:
     """Restrict classical consequence to a finite formula universe.
 
     Atoms are rendered formulas; the table entry for A is every universe
     member classically entailed by A.  The negation map sends u to ~u when
-    ~u is in the universe, otherwise to the falsum member (so the universe
-    must have been built with the with_falsum closure).  The universe may
-    mention at most TABLE_VARIABLES distinct variables.
+    ~u is in the universe, otherwise to the falsum member p0 & ~p0 for the
+    least variable p0 (which the with_falsum closure adds).  The universe
+    may hold at most RESTRICTION_ATOMS formulas over at most TABLE_VARIABLES
+    distinct variables.
     """
-    if universe.falsum is None:
-        raise ValueError("universe must be built with the with_falsum closure")
     formulas = list(universe)
-    n = len(formulas)
-    if n > max_atoms:
-        raise CapExceededError(
-            f"universe of {n} formulas exceeds the restriction cap of {max_atoms}"
-        )
     names = sorted({v for f in formulas for v in variables(f)})
+    falsum = falsum_of(names)
+    if falsum not in formulas:
+        raise ValueError("universe must be built with the with_falsum closure")
+    n = len(formulas)
+    if n > RESTRICTION_ATOMS:
+        raise CapExceededError(
+            f"universe of {n} formulas exceeds the restriction cap "
+            f"of {RESTRICTION_ATOMS}"
+        )
     if len(names) > TABLE_VARIABLES:
         raise CapExceededError(
             f"universe mentions {len(names)} variables, above the truth-table "
@@ -337,7 +339,7 @@ def classical_restriction(
         table.append(closed)
 
     position = {f: i for i, f in enumerate(formulas)}
-    falsum_label = labels[position[universe.falsum]]
+    falsum_label = labels[position[falsum]]
     negation = {}
     fallbacks = []
     for f, label in zip(formulas, labels):

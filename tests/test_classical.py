@@ -9,7 +9,6 @@ from oracles import oracle_eval, oracle_satisfiable
 from paracon import (
     And,
     FormulaSet,
-    FormulaUniverse,
     Implies,
     Not,
     Or,
@@ -236,7 +235,7 @@ def test_classify_empty_set():
 
 def test_classify_requires_candidates():
     with pytest.raises(ValueError):
-        classify(FormulaSet([P]), FormulaUniverse((), ()))
+        classify(FormulaSet([P]), FormulaSet())
 
 
 def test_classify_never_paraconsistent_classically():

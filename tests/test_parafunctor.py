@@ -25,7 +25,6 @@ from paracon import (
     CapExceededError,
     FiniteConsequenceStructure,
     FormulaSet,
-    FormulaUniverse,
     FunctorOptions,
     Implies,
     Not,
@@ -612,7 +611,7 @@ def test_para_classify_plain_set():
 
 def test_para_classify_requires_candidates():
     with pytest.raises(ValueError):
-        para_classify(FormulaSet([P]), FormulaUniverse((), ()))
+        para_classify(FormulaSet([P]), FormulaSet())
 
 
 # Every flag combination (consistent, contradictory, strongly contradictory,
@@ -766,6 +765,64 @@ def test_covering_condition_decides_survival_exhaustively_up_to_two_atoms():
                 outcomes.add(survives)
     assert candidates == 4 * 4 + 4 * 256 * 2 + 256 * 256 * 2
     assert outcomes == {True, False}
+
+
+def test_category_laws_on_every_closure_system_up_to_three_atoms():
+    # All 70 closure systems on 1-3 atoms and every injective map between two
+    # of them.  Survival is the covering condition; homomorphisms compose;
+    # composites of surviving maps survive and identities survive, so the
+    # transform is a functor on the subcategory of surviving maps.
+    from oracles import survival_obstruction
+    from paracon import HomomorphismCandidate, check_homomorphism
+
+    def is_hom(source, target, mapping):
+        return check_homomorphism(HomomorphismCandidate(source, target, mapping)).holds
+
+    structures = [
+        FiniteConsequenceStructure(
+            LETTERS[:n],
+            [
+                min((m for m in family if m & mask == mask), key=int.bit_count)
+                for mask in range(1 << n)
+            ],
+        )
+        for n in (1, 2, 3)
+        for family in sorted(_closure_systems(n), key=sorted)
+    ]
+    assert len(structures) == 70
+    transformed = [paraconsistentize_finite(s) for s in structures]
+    homs = [[] for _ in structures]  # per source: (target, mapping, survives)
+    candidates = 0
+    for i, src in enumerate(structures):
+        for j, tgt in enumerate(structures):
+            for image in itertools.permutations(tgt.domain, src.n_atoms):
+                candidates += 1
+                mapping = dict(zip(src.domain, image))
+                if not is_hom(src, tgt, mapping):
+                    continue
+                survives = is_hom(transformed[i], transformed[j], mapping)
+                candidate = HomomorphismCandidate(src, tgt, mapping)
+                assert survives == (survival_obstruction(candidate) is None)
+                homs[i].append((j, mapping, survives))
+    assert candidates == 25384
+    assert sum(map(len, homs)) == 607
+
+    compositions = surviving = 0
+    for i, outgoing in enumerate(homs):
+        for j, first, first_survives in outgoing:
+            for k, second, second_survives in homs[j]:
+                composite = {a: second[first[a]] for a in structures[i].domain}
+                compositions += 1
+                assert is_hom(structures[i], structures[k], composite)
+                if first_survives and second_survives:
+                    surviving += 1
+                    assert is_hom(transformed[i], transformed[k], composite)
+    assert (compositions, surviving) == (4065, 2562)
+
+    for i, s in enumerate(structures):
+        identity = {a: a for a in s.domain}
+        assert (i, identity, True) in homs[i]
+        assert is_hom(transformed[i], transformed[i], identity)
 
 
 def test_identity_map_survives_the_transform():

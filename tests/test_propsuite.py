@@ -9,7 +9,6 @@ from paracon import (
     EXPECTED_VERDICTS,
     Formula,
     FormulaSet,
-    FormulaUniverse,
     Not,
     ParaWitness,
     SetClassification,
@@ -220,7 +219,7 @@ TRANSCRIPT_LENGTH = 2603
 def _show(value):
     if isinstance(value, Formula):
         return render(value)
-    if isinstance(value, (FormulaSet, FormulaUniverse, list, tuple)):
+    if isinstance(value, (FormulaSet, list, tuple)):
         return "[" + ", ".join(_show(v) for v in value) + "]"
     if isinstance(value, ParaWitness):
         return f"via {_show(value.support)} maximal={value.maximal}"

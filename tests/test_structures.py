@@ -15,6 +15,7 @@ from paracon import (
     And,
     CapExceededError,
     FiniteConsequenceStructure,
+    FormulaSet,
     HomomorphismCandidate,
     Not,
     StructureFormatError,
@@ -45,6 +46,21 @@ P = Var("p")
 def test_rejects_empty_domain():
     with pytest.raises(ValueError):
         FiniteConsequenceStructure((), (0,))
+
+
+@pytest.mark.parametrize(
+    "domain", [[["a"]], [["a"], ["a"]], ["a", ""], ["a", 1], ["a", "a", None]]
+)
+def test_rejects_non_string_labels_before_checking_distinctness(domain):
+    # An unhashable label must not reach the set() of the distinctness check.
+    table = [0] * (1 << len(domain))
+    with pytest.raises(ValueError, match="domain labels must be non-empty strings"):
+        FiniteConsequenceStructure(domain, table)
+
+
+def test_rejects_repeated_labels():
+    with pytest.raises(ValueError, match="domain labels must be distinct"):
+        FiniteConsequenceStructure(["a", "a"], [0, 1, 2, 3])
 
 
 def test_rejects_incomplete_table():
@@ -376,10 +392,26 @@ def test_restriction_requires_falsum():
         classical_restriction(build_universe([P]))
 
 
+def test_restriction_takes_any_formula_set_holding_the_falsum():
+    falsum = And(P, Not(P))
+    s = classical_restriction(FormulaSet([P, falsum]))
+    assert s.domain == ("p", "p & ~p")
+    assert s.negation == {"p": "p & ~p", "p & ~p": "p & ~p"}
+    assert cn(s, ["p & ~p"]) == s.domain
+    # The falsum is that of the least variable: q & ~q does not serve.
+    q = Var("q")
+    with pytest.raises(ValueError, match="with_falsum"):
+        classical_restriction(FormulaSet([P, q, And(q, Not(q))]))
+    with pytest.raises(ValueError, match="with_falsum"):
+        classical_restriction(FormulaSet())
+
+
 def test_restriction_size_cap():
     seed = [Var(f"x{i}") for i in range(9)]
     u = build_universe(seed, ("negations", "with_falsum"))
-    with pytest.raises(CapExceededError):
+    with pytest.raises(
+        CapExceededError, match="universe of 20 formulas exceeds the restriction cap of 14"
+    ):
         classical_restriction(u)
 
 
