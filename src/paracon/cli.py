@@ -15,15 +15,8 @@ from pathlib import Path
 
 from . import parafunctor, propsuite, structures
 from .classical import classify, entails
-from .errors import CapExceededError, ParseError, StructureFormatError
-from .formula import (
-    CLOSURE_FLAGS,
-    FormulaSet,
-    build_universe,
-    parse,
-    read_formula_set,
-    render,
-)
+from .errors import CapExceededError
+from .formula import CLOSURE_FLAGS, build_universe, parse, read_formula_set, render
 
 SCHEMA = "paracon.report/1"
 
@@ -31,10 +24,6 @@ SCHEMA = "paracon.report/1"
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
-
-
-def _load_premises(path: str) -> FormulaSet:
-    return read_formula_set(Path(path))
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -45,34 +34,25 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _cmd_entail(args) -> int:
-    premises = _load_premises(args.premises)
+    premises = read_formula_set(args.premises)
     conclusion = parse(args.formula)
+    witness = None
     if args.para:
         witness = parafunctor.para_entails(premises, conclusion)
-        if witness is None:
-            _emit(args, {"command": "entail", "para": True, "entailed": False}, "NO")
-            return 1
-        support = witness.support.render()
-        _emit(
-            args,
-            {
-                "command": "entail",
-                "para": True,
-                "entailed": True,
-                "support": [render(f) for f in witness.support],
-            },
-            f"YES, support: {support}",
-        )
-        return 0
-    if entails(premises, conclusion):
-        _emit(args, {"command": "entail", "para": False, "entailed": True}, "YES")
-        return 0
-    _emit(args, {"command": "entail", "para": False, "entailed": False}, "NO")
-    return 1
+        entailed = witness is not None
+    else:
+        entailed = entails(premises, conclusion)
+    payload = {"command": "entail", "para": args.para, "entailed": entailed}
+    text = "YES" if entailed else "NO"
+    if witness is not None:
+        payload["support"] = [render(f) for f in witness.support]
+        text += f", support: {witness.support.render()}"
+    _emit(args, payload, text)
+    return 0 if entailed else 1
 
 
 def _cmd_mcs(args) -> int:
-    premises = _load_premises(args.premises)
+    premises = read_formula_set(args.premises)
     subsets = parafunctor.maximal_consistent_subsets(premises)
     _emit(
         args,
@@ -83,13 +63,16 @@ def _cmd_mcs(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    premises = _load_premises(args.premises)
+    premises = read_formula_set(args.premises)
     if args.universe:
-        candidates = build_universe(read_formula_set(Path(args.universe)))
+        seed, flags = read_formula_set(args.universe), ()
+        empty = "cannot build a candidate universe from an empty --universe file"
     else:
-        if len(premises) == 0:
-            return _fail("cannot build a default candidate universe from an empty premise set", 2)
-        candidates = build_universe(premises, CLOSURE_FLAGS)
+        seed, flags = premises, CLOSURE_FLAGS
+        empty = "cannot build a default candidate universe from an empty premise set"
+    if len(seed) == 0:
+        return _fail(empty, 2)
+    candidates = build_universe(seed, flags)
     verdict = (
         parafunctor.para_classify(premises, candidates)
         if args.para
@@ -110,7 +93,7 @@ def _cmd_classify(args) -> int:
         args,
         {
             "command": "classify",
-            "para": bool(args.para),
+            "para": args.para,
             "consistent": verdict.consistent,
             "contradictory": verdict.contradictory,
             "strongly_contradictory": verdict.strongly_contradictory,
@@ -126,12 +109,10 @@ def _cmd_classify(args) -> int:
 def _report_line(report: structures.AxiomReport) -> str:
     line = f"{report.name}: {'holds' if report.holds else 'FAILS'}"
     if report.counterexample is not None:
-        parts = []
-        for item in report.counterexample:
-            if isinstance(item, tuple):
-                parts.append("{" + ", ".join(item) + "}")
-            else:
-                parts.append(str(item))
+        parts = [
+            "{" + ", ".join(item) + "}" if isinstance(item, tuple) else str(item)
+            for item in report.counterexample
+        ]
         line += "  counterexample: " + ", ".join(parts)
     if report.witness is not None:
         line += f"  witness: {report.witness}"
@@ -140,7 +121,8 @@ def _report_line(report: structures.AxiomReport) -> str:
     return line
 
 
-def _cmd_structure_check(args, structure) -> int:
+def _cmd_structure_check(args) -> int:
+    structure = structures.load(args.file)
     reports = [structures.check_axiom(structure, axiom) for axiom in structures.AXIOMS]
     normal = all(r.holds for r in reports if r.name in structures.NORMAL_AXIOMS)
     lines = [_report_line(r) for r in reports]
@@ -153,8 +135,6 @@ def _cmd_structure_check(args, structure) -> int:
         ]
         reports.extend(extra)
         lines.extend(_report_line(r) for r in extra)
-    if structure.note:
-        lines.append(f"note: {structure.note}")
     _emit(
         args,
         {
@@ -164,8 +144,8 @@ def _cmd_structure_check(args, structure) -> int:
                 {
                     "name": r.name,
                     "holds": r.holds,
-                    "counterexample": _json_safe(r.counterexample),
-                    "witness": _json_safe(r.witness),
+                    "counterexample": r.counterexample,
+                    "witness": r.witness,
                     "note": r.note,
                 }
                 for r in reports
@@ -176,19 +156,17 @@ def _cmd_structure_check(args, structure) -> int:
     return 0
 
 
-def _json_safe(value):
-    if isinstance(value, tuple):
-        return [_json_safe(v) for v in value]
-    return value
-
-
-def _cmd_structure_functor(args, structure) -> int:
+def _cmd_structure_functor(args) -> int:
+    structure = structures.load(args.file)
     options = parafunctor.FunctorOptions(inclusive=bool(args.inclusive))
     out_path = Path(args.output)
     if out_path.resolve() == Path(args.file).resolve():
         return _fail("output path must differ from the input structure file", 2)
     transformed = parafunctor.paraconsistentize_finite(structure, options)
-    structures.save(transformed, out_path)
+    try:
+        structures.save(transformed, out_path)
+    except OSError:
+        return _fail(f"cannot write {out_path}", 2)
     _emit(
         args,
         {"command": "structure functor", "output": str(out_path)},
@@ -197,8 +175,8 @@ def _cmd_structure_functor(args, structure) -> int:
     return 0
 
 
-def _cmd_structure_theorem42(args, structure) -> int:
-    result = propsuite.check_paraconsistency_transfer(structure)
+def _cmd_structure_theorem42(args) -> int:
+    result = propsuite.check_paraconsistency_transfer(structures.load(args.file))
     if result.verdict == "confirmed":
         text = (
             "hypotheses hold; transformed structure is paraconsistent; "
@@ -223,15 +201,6 @@ def _cmd_structure_theorem42(args, structure) -> int:
         text,
     )
     return 0 if result.verdict == "confirmed" else 1
-
-
-def _cmd_structure(args) -> int:
-    structure = structures.load(Path(args.file))
-    if args.action == "check":
-        return _cmd_structure_check(args, structure)
-    if args.action == "functor":
-        return _cmd_structure_functor(args, structure)
-    return _cmd_structure_theorem42(args, structure)
 
 
 def _cmd_verify_table(args) -> int:
@@ -307,6 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     struct = commands.add_parser("structure", help="operations on structure files")
     actions = struct.add_subparsers(dest="action", required=True)
+    handlers = {
+        "check": _cmd_structure_check,
+        "functor": _cmd_structure_functor,
+        "theorem42": _cmd_structure_theorem42,
+    }
     for name, help_text in (
         ("check", "check the closure axioms (and negation laws when present)"),
         ("functor", "apply the paraconsistentization transform and save it"),
@@ -321,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="also union each premise set into its own consequences",
             )
-        sub.set_defaults(handler=_cmd_structure)
+        sub.set_defaults(handler=handlers[name])
 
     table = commands.add_parser(
         "verify-table", help="verify the eleven-row property table"
@@ -340,10 +314,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        return _fail(str(exc), 2)
-    except StructureFormatError as exc:
-        return _fail(str(exc), 2)
     except FileNotFoundError as exc:
         return _fail(f"cannot read {exc.filename}", 2)
     except CapExceededError as exc:

@@ -38,7 +38,7 @@ from .classical import (
 )
 from .errors import CapExceededError
 from .formula import Formula, FormulaSet, variables
-from .structures import FiniteConsequenceStructure, check_atom_cap
+from .structures import FiniteConsequenceStructure
 
 MCS_CAP = 20
 _FIELD = 16  # bits per packed table entry ("H"): one per atom, up to MAX_ATOMS
@@ -79,7 +79,6 @@ def paraconsistentize_finite(
     the whole domain; proper injections can fail this.
     """
     n = structure.n_atoms
-    check_atom_cap(n)
     full = structure.full_mask
     layout = f"<{full + 1}H"
     consistent = [0 if value == full else value for value in structure.table]
@@ -102,7 +101,9 @@ class _PremiseTable(NamedTuple):
     rows: tuple[int, ...]  # per MCS, the AND of its members' bitmaps; () above the cap
 
 
-@lru_cache(maxsize=8192)
+# An entry keeps every MCS's rows, up to 2**16 bits each (0.57 MB for 128
+# MCSes over 16 variables), so at most 256 sets stay cached.
+@lru_cache(maxsize=256)
 def _mcs_masks(items: tuple[Formula, ...]) -> _PremiseTable:
     n = len(items)
     names = sorted({v for f in items for v in variables(f)})

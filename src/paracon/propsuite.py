@@ -8,9 +8,9 @@ evidence and a trial count (a confirmation with zero trials is forbidden).
 Each law the two relations share is written once, against a `Relation`
 record, and run under both |- and |-P.
 
-The table and both claim batteries are data: `verify_table` runs each
-row's |- column, then its |-P column, and `_battery` runs each claim's
-trials, then its directed check.
+The table and both claim batteries are data over one set of columns:
+`verify_table` runs each row's |- column, then its |-P column, and
+`_battery` runs each claim's column.
 """
 
 from __future__ import annotations
@@ -590,25 +590,23 @@ def render_table(rows: list[TableRow]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Claim batteries: (claim, RNG label, trial or None, evidence, directed check)
+# Claim batteries: (claim, RNG label, column, evidence).  The column is a
+# law with its directed check as the instance, or a replay with no trials.
 
-Claim = tuple[str, Optional[str], Optional[Callable], dict, Callable[[], bool]]
+Claim = tuple[str, Optional[str], Column, dict]
 
 
 def _battery(seed: int, trials: int, claims: tuple[Claim, ...]) -> list[ClaimResult]:
-    """Run each claim's trials, then its directed check.
+    """Run each claim's column: its trials, then its directed check.
 
-    A claim is confirmed when no trial broke it and the check holds; a claim
-    with no trial is one directed instance.  Raises ValueError when `trials`
-    is below one.
+    A claim is confirmed when its column holds; a replayed claim counts as
+    one trial.  Raises ValueError when `trials` is below one.
     """
     results = []
-    for claim, label, trial, evidence, check in claims:
-        n, violation = 1, None
-        if trial is not None:
-            n, violation = _run_trials(seed, label, trials, trial)
-        verdict = "confirmed" if check() and violation is None else "refuted"
-        results.append(ClaimResult(claim, verdict, n, violation or dict(evidence)))
+    for claim, label, column, evidence in claims:
+        holds, n, violation = column(seed, label, trials)
+        verdict = "confirmed" if holds else "refuted"
+        results.append(ClaimResult(claim, verdict, n or 1, violation or dict(evidence)))
     return results
 
 
@@ -616,27 +614,33 @@ _SUPPORT_CLAIMS: tuple[Claim, ...] = (
     (
         "contradictions-never-derivable",
         "support:contradictions",
-        partial(_contradiction_trial, key="b"),
+        _law(
+            partial(_contradiction_trial, key="b"),
+            lambda: para_entails([P, Not(P)], FALSUM) is None,
+        ),
         {"directed": "{p, ~p} does not para-derive p & ~p"},
-        lambda: para_entails([P, Not(P)], FALSUM) is None,
     ),
     (
         "theorem-consequences-are-universal",
         "support:theorems",
-        _theorem_trial,
+        _law(
+            _theorem_trial,
+            lambda: para_entails([Implies(P, P)], Or(Q, Not(Q))) is not None
+            and is_theorem(Or(Q, Not(Q)))
+            and para_entails([FALSUM], Or(Q, Not(Q))) is not None,
+        ),
         {"directed": "{p -> p} |-P q | ~q, a theorem derivable from any set"},
-        lambda: para_entails([Implies(P, P)], Or(Q, Not(Q))) is not None
-        and is_theorem(Or(Q, Not(Q)))
-        and para_entails([FALSUM], Or(Q, Not(Q))) is not None,
     ),
     (
         "singleton-support",
         "support:singletons",
-        _singleton_trial,
+        _law(
+            _singleton_trial,
+            lambda: para_entails([P], Or(P, Q)) is not None
+            and is_satisfiable([P])
+            and entails([P], Or(P, Q)),
+        ),
         {"directed": "{p} |-P p | q with {p} consistent and {p} |- p | q"},
-        lambda: para_entails([P], Or(P, Q)) is not None
-        and is_satisfiable([P])
-        and entails([P], Or(P, Q)),
     ),
 )
 
@@ -644,38 +648,36 @@ _DEDUCTION_CLAIMS: tuple[Claim, ...] = (
     (
         "deduction",
         "claims:deduction",
-        partial(_deduction_trial, rel=PARA),
+        _law(partial(_deduction_trial, rel=PARA)),
         {"law": "A + {a} |-P b implies A |-P a -> b"},
-        lambda: True,
     ),
     (
         "weak-transitivity",
         "claims:weak-transitivity",
-        partial(_weak_transitivity_trial, rel=PARA),
+        _law(partial(_weak_transitivity_trial, rel=PARA)),
         {"law": "A |-P b and {b} |-P c imply A |-P c"},
-        lambda: True,
     ),
     (
         "deduction-converse-failure",
         None,
-        None,
+        _replay(_deduction_converse_fails),
         {
             "instance": "{q} |-P (p & ~p) -> (p & ~p) "
             "but {q, p & ~p} does not para-derive p & ~p"
         },
-        _deduction_converse_fails,
     ),
     (
         "modus-ponens-failure",
         None,
-        None,
+        _replay(
+            lambda: para_entails(PAIR, P) is not None
+            and para_entails(PAIR, Implies(P, FALSUM)) is not None
+            and para_entails(PAIR, FALSUM) is None
+        ),
         {
             "instance": "{p, ~p} |-P p and |-P p -> (p & ~p), "
             "yet p & ~p stays underivable"
         },
-        lambda: para_entails(PAIR, P) is not None
-        and para_entails(PAIR, Implies(P, FALSUM)) is not None
-        and para_entails(PAIR, FALSUM) is None,
     ),
 )
 

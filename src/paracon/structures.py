@@ -22,10 +22,10 @@ MAX_ATOMS = 16  # the largest domain a structure, or a structure file, may have
 RESTRICTION_ATOMS = 14  # the largest universe classical_restriction accepts
 
 
-def check_atom_cap(n_atoms: int, max_atoms: int = MAX_ATOMS) -> None:
-    if n_atoms > max_atoms:
+def check_atom_cap(n_atoms: int) -> None:
+    if n_atoms > MAX_ATOMS:
         raise CapExceededError(
-            f"domain of {n_atoms} atoms exceeds the cap of {max_atoms}"
+            f"domain of {n_atoms} atoms exceeds the cap of {MAX_ATOMS}"
         )
 
 
@@ -38,7 +38,6 @@ class FiniteConsequenceStructure:
         table: Sequence[int],
         negation: Optional[Mapping[str, str]] = None,
         note: str = "",
-        max_atoms: int = MAX_ATOMS,
     ):
         domain = tuple(domain)
         if not domain:
@@ -47,7 +46,7 @@ class FiniteConsequenceStructure:
             raise ValueError("domain labels must be non-empty strings")
         if len(set(domain)) != len(domain):
             raise ValueError("domain labels must be distinct")
-        check_atom_cap(len(domain), max_atoms)
+        check_atom_cap(len(domain))
         size = 1 << len(domain)
         table = tuple(table)
         if len(table) != size:

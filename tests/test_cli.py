@@ -1,9 +1,24 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from paracon import dumps_structure, load_structure, loads_structure
+from paracon import (
+    FiniteConsequenceStructure,
+    Not,
+    Var,
+    build_universe,
+    classical_restriction,
+    dumps_structure,
+    load_structure,
+    loads_structure,
+)
+import paracon
 from paracon.cli import main
+from paracon.formula import CLOSURE_FLAGS
 
 from oracles import identity_structure
 
@@ -97,6 +112,21 @@ def test_missing_file_exits_2(capsys):
 
 def test_usage_error_exits_2(capsys):
     assert main(["entail"]) == 2
+
+
+def test_module_run_exits_with_the_answer(pair_file):
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(paracon.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "paracon.cli", "entail", pair_file, "q", "--para"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (1, "NO\n", "")
 
 
 # -- mcs ------------------------------------------------------------------------
@@ -311,3 +341,127 @@ def test_verify_table_structured(capsys):
     payload = json.loads(out)
     assert payload["matches_expected"] is True
     assert len(payload["rows"]) == 11
+
+
+# -- golden transcript ----------------------------------------------------------------
+
+# An intended change of CLI output rewrites this file from cli_transcript();
+# its diff then shows every byte the change alters.
+GOLDEN_TRANSCRIPT = Path(__file__).parent / "golden" / "cli_transcript.txt"
+
+# Each command line runs under --format text and --format structured; "<tmp>"
+# stands for the directory holding the fixture files below.
+TRANSCRIPT_COMMANDS = (
+    "entail <tmp>/pair.txt q",
+    "entail <tmp>/pair.txt q --para",
+    "entail <tmp>/pair.txt p|q --para",
+    "entail <tmp>/kb.txt r",
+    "entail <tmp>/kb.txt r->p --para",
+    "entail <tmp>/comment.txt q",
+    "entail <tmp>/comment.txt p|~p --para",
+    "entail <tmp>/wide.txt q --para",
+    "entail <tmp>/bad.txt q",
+    "entail <tmp>/pair.txt q&",
+    "entail /nonexistent/premises.txt q",
+    "mcs <tmp>/pair.txt",
+    "mcs <tmp>/kb.txt",
+    "mcs <tmp>/comment.txt",
+    "mcs <tmp>/wide.txt",
+    "mcs <tmp>/bad.txt",
+    "classify <tmp>/pair.txt",
+    "classify <tmp>/pair.txt --para",
+    "classify <tmp>/kb.txt --para",
+    "classify <tmp>/comment.txt",
+    "classify <tmp>/pair.txt --para --universe <tmp>/kb.txt",
+    "classify <tmp>/comment.txt --universe <tmp>/pair.txt",
+    "classify <tmp>/pair.txt --universe <tmp>/comment.txt",
+    "structure check <tmp>/swap.json",
+    "structure check <tmp>/nonnormal.json",
+    "structure check <tmp>/plain.json",
+    "structure check <tmp>/restriction.json",
+    "structure check <tmp>/missing.json",
+    "structure check <tmp>/wide.json",
+    "structure check /nonexistent/structure.json",
+    "structure functor <tmp>/swap.json -o <tmp>/out.json",
+    "structure functor <tmp>/nonnormal.json -o <tmp>/out.json --inclusive",
+    "structure functor <tmp>/restriction.json -o <tmp>/para.json",
+    "structure check <tmp>/para.json",
+    "structure functor <tmp>/swap.json -o <tmp>/swap.json",
+    "structure functor <tmp>/swap.json -o /nonexistent/x.json",
+    "structure theorem42 <tmp>/restriction.json",
+    "structure theorem42 <tmp>/swap.json",
+    "structure theorem42 <tmp>/plain.json",
+    "structure theorem42 <tmp>/nonnormal.json",
+    "verify-table --trials 5",
+    "verify-table --trials 0",
+)
+
+# argparse's own usage errors: only the exit code is pinned, because the
+# usage text differs between Python versions.
+USAGE_ERRORS = (
+    "",
+    "entail",
+    "structure",
+    "structure functor <tmp>/swap.json",
+    "verify-table --trials x",
+    "mcs <tmp>/pair.txt --para",
+)
+
+
+def _write_transcript_fixtures(directory: Path) -> None:
+    premises = {
+        "pair.txt": "p\n~p\n",
+        "kb.txt": "p\nq\n~(p & q)\nr -> p\n",
+        "comment.txt": "# nothing here\n",
+        "wide.txt": "".join(f"v{i}\n" for i in range(21)),
+        "bad.txt": "p &\n",
+    }
+    for name, text in premises.items():
+        (directory / name).write_text(text, encoding="utf-8")
+    # Cn({}) = {a} and Cn({a}) = {}: inclusion, idempotency and
+    # monotonicity all fail, each with a counterexample subset.
+    nonnormal = FiniteConsequenceStructure(("a", "b"), (0b01, 0b00, 0b10, 0b11))
+    universe = build_universe([Var("p"), Not(Var("p"))], CLOSURE_FLAGS)
+    swap = dumps_structure(identity_structure(2, {"a": "b", "b": "a"}))
+    missing = json.loads(swap)
+    missing["cn"].pop()
+    texts = {
+        "swap.json": swap,
+        "nonnormal.json": dumps_structure(nonnormal),
+        "plain.json": dumps_structure(identity_structure(2)),
+        "restriction.json": dumps_structure(classical_restriction(universe)),
+        "missing.json": json.dumps(missing),
+        "wide.json": json.dumps({"domain": [f"a{i}" for i in range(17)], "cn": []}),
+    }
+    for name, text in texts.items():
+        (directory / name).write_text(text, encoding="utf-8")
+
+
+def _stream(name: str, text: str) -> list[str]:
+    *lines, last = text.split("\n")
+    tail = [f"| {last}", "\\ no newline at end"] if last else []
+    return [f"{name}:", *(f"| {line}" for line in lines), *tail]
+
+
+def cli_transcript(directory: Path, capsys) -> str:
+    """Every transcript command's exit code, stdout and stderr, in both formats."""
+    _write_transcript_fixtures(directory)
+    tmp = str(directory)
+    lines = []
+    for command in TRANSCRIPT_COMMANDS + USAGE_ERRORS:
+        for fmt in ("text", "structured"):
+            argv = ["--format", fmt, *command.replace("<tmp>", tmp).split()]
+            code = main(argv)
+            out, err = capsys.readouterr()
+            lines.append(f"$ paracon --format {fmt} {command}".rstrip())
+            lines.append(f"exit {code}")
+            if command in TRANSCRIPT_COMMANDS:
+                lines += _stream("stdout", out.replace(tmp, "<tmp>"))
+                lines += _stream("stderr", err.replace(tmp, "<tmp>"))
+            lines.append("")
+    return "\n".join(lines)
+
+
+def test_cli_transcript_matches_golden(tmp_path, capsys):
+    transcript = cli_transcript(tmp_path, capsys)
+    assert transcript == GOLDEN_TRANSCRIPT.read_text(encoding="utf-8")

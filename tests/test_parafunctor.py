@@ -224,14 +224,6 @@ def test_transform_at_the_atom_cap(inclusive):
     assert p.table[0] == 0 and p.table[3] == full
 
 
-def test_transform_checks_the_atom_cap_first(monkeypatch):
-    s = FiniteConsequenceStructure(LETTERS[:17], [0] * (1 << 17), max_atoms=17)
-    monkeypatch.setattr(parafunctor, "struct", None)  # no packing may start
-    with pytest.raises(CapExceededError) as excinfo:
-        paraconsistentize_finite(s)
-    assert str(excinfo.value) == "domain of 17 atoms exceeds the cap of 16"
-
-
 # -- maximal consistent subsets ---------------------------------------------------
 
 

@@ -209,6 +209,12 @@ def test_mapping_must_be_total():
         HomomorphismCandidate(s, s, {"a": "a"})
 
 
+def test_mapping_must_stay_in_the_target():
+    s = identity_structure(2)
+    with pytest.raises(ValueError, match=r"sends \['b'\] outside the target domain"):
+        HomomorphismCandidate(s, identity_structure(1), {"a": "a", "b": "b"})
+
+
 def test_relabeling_is_homomorphism_and_preserves_consistency():
     rng = random.Random(12)
     for _ in range(20):
@@ -490,6 +496,20 @@ def test_load_without_negation():
         (lambda d: d.update(extra=1), "unknown"),
         (lambda d: d["cn"][0][0].append("zz"), "unknown atom"),
         (lambda d: d["negation"].pop(), "not total"),
+        (lambda d: d.update(domain="ab"), "'domain' must be a list of labels"),
+        (lambda d: d["domain"].append("a"), "domain labels must be distinct"),
+        (lambda d: d.update(cn={}), "'cn' must be a list"),
+        (lambda d: d["cn"][0].append([]), "each 'cn' entry must be a"),
+        (lambda d: d["cn"][0][0].append(1), "a 'cn' subset must be a list of labels"),
+        (lambda d: d["cn"][0][1].append(None), "a 'cn' value must be a list of labels"),
+        (lambda d: d.update(negation={"a": "b"}), "'negation' must be a list"),
+        (lambda d: d["negation"][0].append("a"), "each 'negation' entry must be an"),
+        (lambda d: d["negation"].append(["a", "b"]), "duplicate negation entry for 'a'"),
+        (lambda d: d["negation"].append(["z", "a"]), "negation map mentions unknown atoms"),
+        (
+            lambda d: d.update(negation=[["a", "z"], ["b", "a"]]),
+            "negation map has values outside the domain",
+        ),
     ],
 )
 def test_load_rejects_malformed(mutate, message):
@@ -517,3 +537,5 @@ def test_load_checks_the_atom_cap_before_reading_the_table(n_atoms):
 def test_load_rejects_non_json():
     with pytest.raises(StructureFormatError):
         loads_structure("domain: [a]")
+    with pytest.raises(StructureFormatError, match="must be a JSON object"):
+        loads_structure('["domain", "cn"]')
