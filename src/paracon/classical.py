@@ -89,36 +89,36 @@ def evaluate(f: Formula, valuation: Valuation) -> bool:
 def _evaluate_partial(f: Formula, valuation: dict[str, bool]) -> Optional[bool]:
     # Three-valued short-circuit evaluation for the backtracking search;
     # None means "not yet decided".
-    match f:
-        case Var(name):
-            return valuation.get(name)
-        case Not(child):
-            value = _evaluate_partial(child, valuation)
-            return None if value is None else not value
-        case And(left, right):
-            lv = _evaluate_partial(left, valuation)
-            if lv is False:
-                return False
-            rv = _evaluate_partial(right, valuation)
-            if rv is False:
-                return False
-            return True if (lv is True and rv is True) else None
-        case Or(left, right):
-            lv = _evaluate_partial(left, valuation)
-            if lv is True:
-                return True
-            rv = _evaluate_partial(right, valuation)
-            if rv is True:
-                return True
-            return False if (lv is False and rv is False) else None
-        case Implies(left, right):
-            lv = _evaluate_partial(left, valuation)
-            if lv is False:
-                return True
-            rv = _evaluate_partial(right, valuation)
-            if rv is True:
-                return True
-            return False if (lv is True and rv is False) else None
+    kind = type(f)
+    if kind is Var:
+        return valuation.get(f.name)
+    if kind is Not:
+        value = _evaluate_partial(f.child, valuation)
+        return None if value is None else not value
+    if kind is And:
+        lv = _evaluate_partial(f.left, valuation)
+        if lv is False:
+            return False
+        rv = _evaluate_partial(f.right, valuation)
+        if rv is False:
+            return False
+        return True if (lv is True and rv is True) else None
+    if kind is Or:
+        lv = _evaluate_partial(f.left, valuation)
+        if lv is True:
+            return True
+        rv = _evaluate_partial(f.right, valuation)
+        if rv is True:
+            return True
+        return False if (lv is False and rv is False) else None
+    if kind is Implies:
+        lv = _evaluate_partial(f.left, valuation)
+        if lv is False:
+            return True
+        rv = _evaluate_partial(f.right, valuation)
+        if rv is True:
+            return True
+        return False if (lv is True and rv is False) else None
     raise TypeError(f"not a Formula: {f!r}")
 
 

@@ -162,9 +162,11 @@ def _cmd_structure_functor(args) -> int:
     out_path = Path(args.output)
     if out_path.resolve() == Path(args.file).resolve():
         return _fail("output path must differ from the input structure file", 2)
-    transformed = parafunctor.paraconsistentize_finite(structure, options)
     try:
-        structures.save(transformed, out_path)
+        # Opened before the transform: an unwritable path costs no work.
+        with open(out_path, "w", encoding="utf-8") as handle:
+            transformed = parafunctor.paraconsistentize_finite(structure, options)
+            handle.write(structures.dumps(transformed))
     except OSError:
         return _fail(f"cannot write {out_path}", 2)
     _emit(

@@ -64,63 +64,39 @@ class Implies(Formula):
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 
-_NOT_CHARS = "~!¬"        # ~ ! ¬
-_AND_CHARS = "&∧"         # & ∧
-_OR_CHARS = "|∨"          # | ∨
-_IMPLIES_CHAR = "→"       # →
+# One alternative per token kind, named by its group.  Any other character
+# but whitespace lands in "bad", so finditer skips exactly the whitespace.
+_TOKEN_RE = re.compile(
+    r"(?P<not>[~!¬])|(?P<and>[&∧])|(?P<or>[|∨])|(?P<implies>->|→)"
+    rf"|(?P<lparen>\()|(?P<rparen>\))|(?P<ident>{_IDENT_RE.pattern})|(?P<bad>\S)"
+)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in _NOT_CHARS:
-            tokens.append(("not", c, i))
-            i += 1
-        elif c in _AND_CHARS:
-            tokens.append(("and", c, i))
-            i += 1
-        elif c in _OR_CHARS:
-            tokens.append(("or", c, i))
-            i += 1
-        elif c == _IMPLIES_CHAR:
-            tokens.append(("implies", c, i))
-            i += 1
-        elif c == "-":
-            if text[i : i + 2] == "->":
-                tokens.append(("implies", "->", i))
-                i += 2
-            else:
-                raise ParseError("expected '->'", i)
-        elif c == "(":
-            tokens.append(("lparen", c, i))
-            i += 1
-        elif c == ")":
-            tokens.append(("rparen", c, i))
-            i += 1
-        else:
-            m = _IDENT_RE.match(text, i)
-            if m:
-                tokens.append(("ident", m.group(), i))
-                i = m.end()
-            else:
-                raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", n))
+    tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN_RE.finditer(text)]
+    for kind, c, position in tokens:
+        if kind == "bad":
+            message = "expected '->'" if c == "-" else f"unexpected character {c!r}"
+            raise ParseError(message, position)
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 MAX_NESTING = 180  # tree depth cap: ~, (, -> and each &/| chain link add a level
 
 
+def _deeper(depth: int, position: int) -> int:
+    if depth == MAX_NESTING:
+        raise ParseError(f"formula nesting exceeds {MAX_NESTING} levels", position)
+    return depth + 1
+
+
 class _Parser:
+    """Recursive descent; each method takes the nesting depth it starts at."""
+
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.pos = 0
-        self.nesting = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -130,62 +106,38 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def _descend(self, position: int) -> None:
-        self.nesting += 1
-        if self.nesting > MAX_NESTING:
-            raise ParseError(f"formula nesting exceeds {MAX_NESTING} levels", position)
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
+    def implication(self, depth: int) -> Formula:
+        left = self.disjunction(depth)
         if self.peek()[0] == "implies":
-            position = self.advance()[2]
-            self._descend(position)
-            right = self.implication()
-            self.nesting -= 1
-            return Implies(left, right)
+            return Implies(left, self.implication(_deeper(depth, self.advance()[2])))
         return left
 
     # Each link of a left-associative chain deepens the tree by one level.
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        links = 0
+    def disjunction(self, depth: int) -> Formula:
+        left = self.conjunction(depth)
         while self.peek()[0] == "or":
-            self._descend(self.advance()[2])
-            links += 1
-            left = Or(left, self.conjunction())
-        self.nesting -= links
+            depth = _deeper(depth, self.advance()[2])
+            left = Or(left, self.conjunction(depth))
         return left
 
-    def conjunction(self) -> Formula:
-        left = self.unary()
-        links = 0
+    def conjunction(self, depth: int) -> Formula:
+        left = self.unary(depth)
         while self.peek()[0] == "and":
-            self._descend(self.advance()[2])
-            links += 1
-            left = And(left, self.unary())
-        self.nesting -= links
+            depth = _deeper(depth, self.advance()[2])
+            left = And(left, self.unary(depth))
         return left
 
-    def unary(self) -> Formula:
-        kind, value, position = self.peek()
+    def unary(self, depth: int) -> Formula:
+        kind, value, position = self.advance()
         if kind == "not":
-            self.advance()
-            self._descend(position)
-            child = self.unary()
-            self.nesting -= 1
-            return Not(child)
+            return Not(self.unary(_deeper(depth, position)))
         if kind == "lparen":
-            self.advance()
-            self._descend(position)
-            inner = self.implication()
-            self.nesting -= 1
-            kind, value, position = self.peek()
+            inner = self.implication(_deeper(depth, position))
+            kind, value, position = self.advance()
             if kind != "rparen":
                 raise ParseError("expected ')'", position)
-            self.advance()
             return inner
         if kind == "ident":
-            self.advance()
             return Var(value)
         if kind == "end":
             raise ParseError("unexpected end of input", position)
@@ -198,7 +150,7 @@ def parse(text: str) -> Formula:
     if tokens[0][0] == "end":
         raise ParseError("empty formula", 0)
     parser = _Parser(tokens)
-    result = parser.implication()
+    result = parser.implication(0)
     kind, value, position = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected token {value!r} after formula", position)
@@ -208,39 +160,37 @@ def parse(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 # Rendering
 
-_PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_NOT, _PREC_ATOM = 1, 2, 3, 4, 5
+# (precedence, symbol) per node type; a higher precedence binds tighter.
+_SYNTAX = {
+    Implies: (1, " -> "),
+    Or: (2, " | "),
+    And: (3, " & "),
+    Not: (4, "~"),
+    Var: (5, ""),
+}
 
 
 def _render(f: Formula) -> tuple[str, int]:
-    match f:
-        case Var(name):
-            return name, _PREC_ATOM
-        case Not(child):
-            text, prec = _render(child)
-            if prec < _PREC_NOT:
-                text = f"({text})"
-            return "~" + text, _PREC_NOT
-        case And(left, right):
-            return _render_binary(left, right, "&", _PREC_AND), _PREC_AND
-        case Or(left, right):
-            return _render_binary(left, right, "|", _PREC_OR), _PREC_OR
-        case Implies(left, right):
-            lt, lp = _render(left)
-            if lp <= _PREC_IMPLIES:
-                lt = f"({lt})"
-            rt, _ = _render(right)
-            return f"{lt} -> {rt}", _PREC_IMPLIES
-    raise TypeError(f"not a Formula: {f!r}")
-
-
-def _render_binary(left: Formula, right: Formula, op: str, prec: int) -> str:
-    lt, lp = _render(left)
-    if lp < prec:
+    kind = type(f)
+    if kind not in _SYNTAX:
+        raise TypeError(f"not a Formula: {f!r}")
+    prec, symbol = _SYNTAX[kind]
+    if kind is Var:
+        return f.name, prec
+    if kind is Not:
+        text, inner = _render(f.child)
+        return symbol + (text if inner >= prec else f"({text})"), prec
+    lt, lp = _render(f.left)
+    rt, rp = _render(f.right)
+    # A child binding looser than its parent gets parentheses, and so does
+    # an equal-precedence child on the side opposite the associativity:
+    # the left of the right-associative ->, the right of & and |.
+    right_assoc = kind is Implies
+    if lp < prec or lp == prec and right_assoc:
         lt = f"({lt})"
-    rt, rp = _render(right)
-    if rp <= prec:  # left-associative: parenthesize an equal-precedence right child
+    if rp < prec or rp == prec and not right_assoc:
         rt = f"({rt})"
-    return f"{lt} {op} {rt}"
+    return lt + symbol + rt, prec
 
 
 def render(f: Formula) -> str:
@@ -271,15 +221,18 @@ def variables(f: Formula) -> set[str]:
 
 def subformulas(f: Formula) -> Iterator[Formula]:
     """All subformulas of f (including f), in pre-order; may repeat."""
-    yield f
-    match f:
-        case Var(_):
-            pass
-        case Not(child):
-            yield from subformulas(child)
-        case And(left, right) | Or(left, right) | Implies(left, right):
-            yield from subformulas(left)
-            yield from subformulas(right)
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        yield node
+        kind = type(node)
+        if kind is Not:
+            stack.append(node.child)
+        elif kind is And or kind is Or or kind is Implies:
+            stack.append(node.right)  # popped after the whole left subtree
+            stack.append(node.left)
+        elif kind is not Var:
+            raise TypeError(f"not a Formula: {node!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ falsifies f.  Wider sets scan the MCSes with classical entailment.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
@@ -33,15 +32,18 @@ from .classical import (
     entails,
     is_contradiction,
     is_satisfiable,
-    tile,
     truth_table,
 )
 from .errors import CapExceededError
 from .formula import Formula, FormulaSet, variables
-from .structures import FiniteConsequenceStructure
+from .structures import (
+    FiniteConsequenceStructure,
+    pack_table,
+    sweep_table,
+    unpack_table,
+)
 
 MCS_CAP = 20
-_FIELD = 16  # bits per packed table entry ("H"): one per atom, up to MAX_ATOMS
 
 
 @dataclass(frozen=True)
@@ -64,12 +66,10 @@ def paraconsistentize_finite(
 ) -> FiniteConsequenceStructure:
     """Apply the transform to a finite structure as a sum over subsets.
 
-    The table, inconsistent entries zeroed, is packed into one int with a
-    16-bit field per subset (MAX_ATOMS bounds every entry).  For each atom,
-    one shift-and-OR moves every subset's running union of consistent
-    consequences into the subset one atom larger: n whole-table steps in
-    place of n * 2**n entry updates.  Only the table is read, so any table,
-    closure operator or not, gets CnP as defined.
+    Inconsistent entries are zeroed, then one sweep_table pass over the
+    packed table ORs every subset's entry into each of its supersets.  Only
+    the table is read, so any table, closure operator or not, gets CnP as
+    defined.
 
     Homomorphisms (injective maps h with h(Cn(A)) == Cn'(h(A))): every h
     that reflects consistency (h(A) consistent implies A consistent) stays a
@@ -78,20 +78,12 @@ def paraconsistentize_finite(
     consistent, the union of Cn(B) over the consistent subsets B of A' is
     the whole domain; proper injections can fail this.
     """
-    n = structure.n_atoms
     full = structure.full_mask
-    layout = f"<{full + 1}H"
-    consistent = [0 if value == full else value for value in structure.table]
-    table = int.from_bytes(struct.pack(layout, *consistent), "little")
-    width = _FIELD << n
-    for i in range(n):
-        # The fields of the subsets without atom i, each moved to the
-        # subset with it, 2**i fields up.
-        lower = tile((1 << (_FIELD << i)) - 1, _FIELD << (i + 1), width)
-        table |= (table & lower) << (_FIELD << i)
+    table = pack_table([0 if value == full else value for value in structure.table])
+    table = sweep_table(table, structure.n_atoms, union=True)
     if options.inclusive:
-        table |= int.from_bytes(struct.pack(layout, *range(full + 1)), "little")
-    table = struct.unpack(layout, table.to_bytes(width // 8, "little"))
+        table |= pack_table(range(full + 1))
+    table = unpack_table(table, full + 1)
     return FiniteConsequenceStructure(structure.domain, table, structure.negation)
 
 

@@ -716,20 +716,18 @@ def check_paraconsistency_transfer(structure: FiniteConsequenceStructure) -> Cla
             "paraconsistency-transfer", verdict, 1 << structure.n_atoms, evidence
         )
 
-    if structure.negation is None:
-        reason = "structure has no negation map"
-        return result(
-            "not applicable", {"failing hypothesis": "explosion", "reason": reason}
-        )
     hypotheses = (
         ("normal", lambda s: is_normal(s)),
-        ("explosion", lambda s: check_explosive(s).holds),
+        ("explosion", lambda s: s.negation is not None and check_explosive(s).holds),
         ("joint consistency", lambda s: check_joint_consistency(s).holds),
         ("conjunctive property", lambda s: check_conjunctive_property(s).holds),
     )
     for name, probe in hypotheses:
         if not probe(structure):
-            return result("not applicable", {"failing hypothesis": name})
+            evidence = {"failing hypothesis": name}
+            if name == "explosion" and structure.negation is None:
+                evidence["reason"] = "structure has no negation map"
+            return result("not applicable", evidence)
     transformed = paraconsistentize_finite(structure)
     report = check_explosive(transformed)
     if report.holds:

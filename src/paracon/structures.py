@@ -13,13 +13,14 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .classical import TABLE_VARIABLES, truth_table
+from .classical import TABLE_VARIABLES, tile, truth_table
 from .errors import CapExceededError, StructureFormatError
 from .formula import FormulaSet, Not, falsum_of, render, variables
 
 
 MAX_ATOMS = 16  # the largest domain a structure, or a structure file, may have
 RESTRICTION_ATOMS = 14  # the largest universe classical_restriction accepts
+FIELD = 16  # bits per packed table entry ("H"): one per atom, up to MAX_ATOMS
 
 
 def check_atom_cap(n_atoms: int) -> None:
@@ -37,7 +38,6 @@ class FiniteConsequenceStructure:
         domain: Sequence[str],
         table: Sequence[int],
         negation: Optional[Mapping[str, str]] = None,
-        note: str = "",
     ):
         domain = tuple(domain)
         if not domain:
@@ -75,7 +75,6 @@ class FiniteConsequenceStructure:
         self.domain = domain
         self.table = table
         self.negation = negation
-        self.note = note
         self._index = {a: i for i, a in enumerate(domain)}
 
     # -- subset plumbing ---------------------------------------------------
@@ -315,43 +314,56 @@ def classical_restriction(universe: FormulaSet) -> FiniteConsequenceStructure:
         )
     labels = [render(f) for f in formulas]
 
-    # One bitmask of satisfied members per valuation, read off the members'
-    # truth tables; Cn(A) is then the intersection of the rows containing A
-    # (empty intersection: everything).
+    # A row's signature is the set of members it satisfies, and Cn(A) is the
+    # intersection of the signatures containing A (none: everything).  Each
+    # member's bitmap is written out most significant row first, and the
+    # last member is the signatures' most significant bit.
     all_rows, models = truth_table(names)
-    bitmaps = [models(f) for f in formulas]
-    rows = []
-    for k in range(all_rows.bit_length()):
-        row = 0
-        for i, bits in enumerate(bitmaps):
-            if bits >> k & 1:
-                row |= 1 << i
-        rows.append(row)
+    width = all_rows.bit_length()
+    columns = [format(models(f), f"0{width}b") for f in reversed(formulas)]
+    table = [(1 << n) - 1] * (1 << n)
+    for bits in set(zip(*columns)):
+        signature = int("".join(bits), 2)
+        table[signature] = signature
 
-    full = (1 << n) - 1
-    table = []
-    for mask in range(1 << n):
-        closed = full
-        for row in rows:
-            if row & mask == mask:
-                closed &= row
-        table.append(closed)
+    index = {f: i for i, f in enumerate(formulas)}
+    negation = {
+        label: labels[index.get(Not(f), index[falsum])]
+        for f, label in zip(formulas, labels)
+    }
+    table = sweep_table(pack_table(table), n, union=False)
+    return FiniteConsequenceStructure(labels, unpack_table(table, 1 << n), negation)
 
-    position = {f: i for i, f in enumerate(formulas)}
-    falsum_label = labels[position[falsum]]
-    negation = {}
-    fallbacks = []
-    for f, label in zip(formulas, labels):
-        negated = Not(f)
-        if negated in position:
-            negation[label] = labels[position[negated]]
+
+def pack_table(values: Sequence[int]) -> int:
+    """A table as one int: entry m is the FIELD-bit field m, lowest first."""
+    return int.from_bytes(struct.pack(f"<{len(values)}H", *values), "little")
+
+
+def unpack_table(table: int, size: int) -> tuple[int, ...]:
+    """The first size entries of a packed table."""
+    return struct.unpack(f"<{size}H", table.to_bytes(size * FIELD // 8, "little"))
+
+
+def sweep_table(table: int, n: int, union: bool) -> int:
+    """Fold a packed 2**n-entry table over the subset order.
+
+    Entry A becomes the OR of the entries of A's subsets (union=True) or the
+    AND of the entries of A's supersets (union=False).  Each atom costs one
+    shift and one OR or AND over the whole table: n whole-table steps in
+    place of n * 2**n entry updates.
+    """
+    width = FIELD << n
+    for i in range(n):
+        # The fields of the subsets without atom i; each one's subset with
+        # it is `shift` bits up.
+        shift = FIELD << i
+        lower = tile((1 << shift) - 1, shift << 1, width)
+        if union:
+            table |= (table & lower) << shift
         else:
-            negation[label] = falsum_label
-            fallbacks.append(label)
-    note = ""
-    if fallbacks:
-        note = "negation falls back to the falsum member for: " + ", ".join(fallbacks)
-    return FiniteConsequenceStructure(labels, table, negation, note=note)
+            table &= (table >> shift) | ~lower
+    return table
 
 
 # ---------------------------------------------------------------------------

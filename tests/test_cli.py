@@ -277,6 +277,19 @@ def test_structure_functor_refuses_overwriting_input(structure_file, capsys):
     assert "differ" in err
 
 
+def test_structure_functor_opens_the_output_before_transforming(
+    structure_file, tmp_path, capsys, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(
+        "paracon.parafunctor.paraconsistentize_finite", lambda *a: calls.append(a)
+    )
+    out_path = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, "structure", "functor", structure_file, "-o", str(out_path))
+    assert (code, out, err) == (2, "", f"error: cannot write {out_path}\n")
+    assert calls == []
+
+
 def test_structure_functor_inclusive_flag(structure_file, tmp_path, capsys):
     out_path = tmp_path / "inc.json"
     code, _, _ = run(

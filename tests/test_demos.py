@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -29,3 +30,23 @@ def test_demo_runs_cleanly(script):
     )
     assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stdout + result.stderr
+
+
+def test_readme_quickstart_matches_its_comments():
+    # Each commented expression's repr is the comment's text up to any colon.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quickstart", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for node in ast.parse(block).body:
+        line = lines[node.lineno - 1]
+        if isinstance(node, ast.Expr) and "#" in line:
+            expected = line.split("#", 1)[1].split(":", 1)[0].strip()
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            assert repr(value) == expected, line
+            checked += 1
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    assert checked == 6

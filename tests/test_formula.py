@@ -59,6 +59,7 @@ def test_parse_unicode_aliases():
     assert parse("¬p ∧ q") == And(Not(P), Q)
     assert parse("p ∨ q → r") == Implies(Or(P, Q), R)
     assert parse("!p") == Not(P)
+    assert parse("¬¬p") == Not(Not(P))
 
 
 def test_parse_long_identifiers():
@@ -83,6 +84,45 @@ def test_parse_errors_carry_positions(text, position):
     with pytest.raises(ParseError) as excinfo:
         parse(text)
     assert excinfo.value.position == position
+
+
+# Messages and positions as the tokenizer and parser reported them before
+# the tokenizer became one regular expression.
+@pytest.mark.parametrize(
+    "text,message,position",
+    [
+        ("-", "expected '->'", 0),
+        ("-x", "expected '->'", 0),
+        ("p -", "expected '->'", 2),
+        ("p--q", "expected '->'", 1),
+        ("p->-q", "expected '->'", 3),
+        ("→", "unexpected token '→'", 0),
+        ("¬¬", "unexpected end of input", 2),
+        ("\t", "empty formula", 0),
+        ("\n", "empty formula", 0),
+        ("\u2003", "empty formula", 0),
+        ("p & q$", "unexpected character '$'", 5),
+        ("p -> q ?", "unexpected character '?'", 7),
+        ("(p)#", "unexpected character '#'", 3),
+        ("p é", "unexpected character 'é'", 2),
+        ("1p", "unexpected character '1'", 0),
+        ("p & &", "unexpected token '&'", 4),
+        ("p ) q", "unexpected token ')' after formula", 2),
+        ("()", "unexpected token ')'", 1),
+        ("~", "unexpected end of input", 1),
+    ],
+)
+def test_parse_error_messages_and_positions(text, message, position):
+    with pytest.raises(ParseError) as excinfo:
+        parse(text)
+    assert (excinfo.value.message, excinfo.value.position) == (message, position)
+
+
+@pytest.mark.parametrize(
+    "text", ["p\t&\tq", "p\n&\nq", "p & q   ", "p\u00a0& q", "p &\u2003q", "\tp&q\n"]
+)
+def test_parse_skips_every_kind_of_whitespace(text):
+    assert parse(text) == And(P, Q)
 
 
 def test_var_rejects_bad_names():
@@ -196,6 +236,15 @@ def test_variables():
 def test_subformulas_preorder():
     f = Implies(P, Or(Q, R))
     assert list(subformulas(f)) == [f, P, Or(Q, R), Q, R]
+    g = And(Not(f), Implies(Q, P))
+    assert list(subformulas(g)) == [g, Not(f), f, P, Or(Q, R), Q, R, Implies(Q, P), Q, P]
+
+
+def test_subformulas_has_no_recursion_limit():
+    f = P
+    for _ in range(100_000):
+        f = Not(f)
+    assert len(list(subformulas(f))) == 100_001
 
 
 # -- formula sets -------------------------------------------------------------

@@ -141,6 +141,53 @@ def test_transform_on_restriction_is_idempotent():
     assert paraconsistentize_finite(once) == once
 
 
+# Universes of 5, 6, 7, 8, 10 and 12 formulas over p, q and r.
+CLASSICAL_CASE_UNIVERSES = (
+    ([P, Not(P)], ("subformulas", "negations", "with_falsum")),
+    ([P, Q, Not(And(P, Q))], ("subformulas", "with_falsum")),
+    ([P, Not(P)], ("subformulas", "negations", "conjunctions", "with_falsum")),
+    ([P, Q, Implies(R, P), Not(And(P, Q))], ("subformulas", "with_falsum")),
+    ([Or(P, Q), Not(P), Not(Q), R], ("negations", "with_falsum")),
+    ([P, Q, Implies(Q, R), Not(R), Or(P, R)], ("negations", "with_falsum")),
+)
+
+
+@pytest.mark.parametrize("seed,flags", CLASSICAL_CASE_UNIVERSES)
+def test_transformed_restriction_is_paraclassical_entailment(seed, flags):
+    # The paper's classical case: the transform of classical consequence
+    # restricted to U decides A |-P f for every A within U and f in U.
+    formulas = build_universe(seed, flags).items
+    n = len(formulas)
+    index = {f: i for i, f in enumerate(formulas)}
+    s = classical_restriction(FormulaSet(formulas))
+    para = paraconsistentize_finite(s).table
+    inclusive = paraconsistentize_finite(s, FunctorOptions(inclusive=True)).table
+    consistent = [value != s.full_mask for value in s.table]
+    for a in range(1 << n):
+        premises = FormulaSet(formulas[i] for i in range(n) if a >> i & 1)
+        for i, f in enumerate(formulas):
+            answered = para_entails(premises, f) is not None
+            assert (para[a] >> i & 1, inclusive[a] >> i & 1) == (
+                answered,
+                answered or a >> i & 1,
+            ), (premises, f)
+        # The maximal subsets of A that are consistent in the restriction.
+        maximal = set()
+        sub = a
+        while True:
+            outside = [1 << i for i in range(n) if a >> i & 1 and not sub >> i & 1]
+            if consistent[sub] and not any(consistent[sub | bit] for bit in outside):
+                maximal.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & a
+        listed = {
+            sum(1 << index[f] for f in mcs)
+            for mcs in maximal_consistent_subsets(premises)
+        }
+        assert listed == maximal, premises
+
+
 def _assert_transform_matches_definition(s):
     for inclusive in (False, True):
         p = paraconsistentize_finite(s, FunctorOptions(inclusive=inclusive))

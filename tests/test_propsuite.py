@@ -172,12 +172,12 @@ def test_transfer_not_applicable_without_negation():
 def test_transfer_not_applicable_normality():
     from paracon import FiniteConsequenceStructure
 
-    s = FiniteConsequenceStructure(
-        ("a", "b"), (0b00, 0b11, 0b10, 0b01), {"a": "b", "b": "a"}
-    )
-    result = check_paraconsistency_transfer(s)
-    assert result.verdict == "not applicable"
-    assert result.evidence["failing hypothesis"] == "normal"
+    # Normality is the first hypothesis, with or without a negation map.
+    for negation in ({"a": "b", "b": "a"}, None):
+        s = FiniteConsequenceStructure(("a", "b"), (0b00, 0b11, 0b10, 0b01), negation)
+        result = check_paraconsistency_transfer(s)
+        assert result.verdict == "not applicable"
+        assert result.evidence == {"failing hypothesis": "normal"}
 
 
 def test_transfer_evidence_replays():

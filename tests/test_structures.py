@@ -6,6 +6,7 @@ from oracles import (
     LETTERS,
     _image_mask,
     identity_structure,
+    oracle_entails,
     oracle_satisfiable,
     random_closure_structure,
     random_structure,
@@ -17,7 +18,9 @@ from paracon import (
     FiniteConsequenceStructure,
     FormulaSet,
     HomomorphismCandidate,
+    Implies,
     Not,
+    Or,
     StructureFormatError,
     Var,
     build_universe,
@@ -29,6 +32,7 @@ from paracon import (
     classical_restriction,
     cn,
     dumps_structure,
+    entails,
     is_consistent_in,
     is_normal,
     is_satisfiable,
@@ -36,6 +40,8 @@ from paracon import (
     load_structure,
     save_structure,
 )
+from paracon.propsuite import FormulaSampler
+from paracon.structures import RESTRICTION_ATOMS
 
 P = Var("p")
 
@@ -354,10 +360,10 @@ def test_restriction_tables_match_hand_computed_values():
     assert cn(s, ["p & ~p"]) == ("p", "~p", "p & ~p")
 
 
-def test_restriction_negation_fallback_noted():
+def test_restriction_negation_falls_back_to_falsum():
+    # ~p and p & ~p have no negation in the universe: both map to the falsum.
     s = classical_restriction(_pair_universe())
     assert s.negation == {"p": "~p", "~p": "p & ~p", "p & ~p": "p & ~p"}
-    assert "falls back" in s.note
 
 
 def test_restriction_is_normal_and_explosive():
@@ -391,6 +397,34 @@ def test_restriction_agrees_with_satisfiability():
         subset = [formulas[i] for i in range(s.n_atoms) if mask >> i & 1]
         assert is_consistent_in(s, s.labels_of(mask)) == oracle_satisfiable(subset)
         assert is_satisfiable(subset) == oracle_satisfiable(subset)
+
+
+def _entailed_mask(formulas, mask, entailment):
+    premises = [f for i, f in enumerate(formulas) if mask >> i & 1]
+    return sum(1 << i for i, f in enumerate(formulas) if entailment(premises, f))
+
+
+def test_restriction_matches_the_entailment_oracle_on_random_universes():
+    rng = random.Random(31)
+    sampler = FormulaSampler(rng)
+    for _ in range(15):
+        seed = [sampler.formula(rng.randint(0, 3)) for _ in range(5)]
+        formulas = build_universe(seed, ("with_falsum",)).items
+        s = classical_restriction(FormulaSet(formulas))
+        for mask in range(1 << len(formulas)):
+            assert s.table[mask] == _entailed_mask(formulas, mask, oracle_entails)
+
+
+def test_restriction_at_the_atom_and_variable_caps():
+    x = [Var(f"x{i:02d}") for i in range(16)]
+    seed = [And(x[2 * i], Or(x[2 * i + 1], Not(x[(2 * i + 3) % 16]))) for i in range(8)]
+    seed += [Implies(x[i], x[i + 1]) for i in range(4)] + [Not(x[0])]
+    formulas = build_universe(seed, ("with_falsum",)).items
+    assert len(formulas) == RESTRICTION_ATOMS
+    s = classical_restriction(FormulaSet(formulas))
+    rng = random.Random(16)
+    for mask in [0, s.full_mask, 0b1000000000001, *rng.sample(range(1 << 14), 40)]:
+        assert s.table[mask] == _entailed_mask(formulas, mask, entails), mask
 
 
 def test_restriction_requires_falsum():
