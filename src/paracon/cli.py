@@ -62,6 +62,15 @@ def _cmd_mcs(args) -> int:
     return 0
 
 
+# SetClassification's flags: text "name: yes|no" lines and JSON keys alike.
+_VERDICT_FLAGS = (
+    "consistent",
+    "contradictory",
+    "strongly_contradictory",
+    "paraconsistent",
+)
+
+
 def _cmd_classify(args) -> int:
     premises = read_formula_set(args.premises)
     if args.universe:
@@ -78,12 +87,11 @@ def _cmd_classify(args) -> int:
         if args.para
         else classify(premises, candidates)
     )
-    yes = {True: "yes", False: "no"}
     lines = [
-        f"consistent: {yes[verdict.consistent]}",
-        f"contradictory: {yes[verdict.contradictory]}",
-        f"strongly contradictory: {yes[verdict.strongly_contradictory]}",
-        f"paraconsistent: {yes[verdict.paraconsistent]}",
+        f"{name.replace('_', ' ')}: {'yes' if getattr(verdict, name) else 'no'}"
+        for name in _VERDICT_FLAGS
+    ]
+    lines += [
         f"witness: {render(verdict.witness) if verdict.witness else '-'}",
         f"searched {len(candidates)} candidate formulas",
     ]
@@ -94,10 +102,7 @@ def _cmd_classify(args) -> int:
         {
             "command": "classify",
             "para": args.para,
-            "consistent": verdict.consistent,
-            "contradictory": verdict.contradictory,
-            "strongly_contradictory": verdict.strongly_contradictory,
-            "paraconsistent": verdict.paraconsistent,
+            **{name: getattr(verdict, name) for name in _VERDICT_FLAGS},
             "witness": render(verdict.witness) if verdict.witness else None,
             "candidates_searched": len(candidates),
         },
@@ -140,16 +145,7 @@ def _cmd_structure_check(args) -> int:
         {
             "command": "structure check",
             "normal": normal,
-            "reports": [
-                {
-                    "name": r.name,
-                    "holds": r.holds,
-                    "counterexample": r.counterexample,
-                    "witness": r.witness,
-                    "note": r.note,
-                }
-                for r in reports
-            ],
+            "reports": [vars(r) for r in reports],
         },
         "\n".join(lines),
     )

@@ -291,7 +291,8 @@ def parse_formula_set(text: str) -> FormulaSet:
             formulas.append(parse(stripped))
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc.message}", exc.position) from None
-    return FormulaSet(formulas)
+    # Parsed nodes are Formulas: a dict dedupes them in linear time.
+    return FormulaSet._of_distinct(tuple(dict.fromkeys(formulas)))
 
 
 def format_formula_set(fs: FormulaSet) -> str:
@@ -304,6 +305,7 @@ def read_formula_set(path) -> FormulaSet:
 
 
 CLOSURE_FLAGS = ("subformulas", "negations", "conjunctions", "with_falsum")
+MAX_UNIVERSE = 4096  # the most formulas build_universe returns
 
 
 def falsum_of(names: Iterable[str]) -> Formula | None:
@@ -312,11 +314,7 @@ def falsum_of(names: Iterable[str]) -> Formula | None:
     return None if least is None else And(Var(least), Not(Var(least)))
 
 
-def build_universe(
-    seed: Iterable[Formula],
-    flags: Iterable[str] = (),
-    max_size: int = 4096,
-) -> FormulaSet:
+def build_universe(seed: Iterable[Formula], flags: Iterable[str] = ()) -> FormulaSet:
     """Close a seed set of formulas under the requested one-level closures.
 
     Flags: ``with_falsum`` adds p0 & ~p0 for the lexicographically least seed
@@ -333,15 +331,15 @@ def build_universe(
         if flag not in CLOSURE_FLAGS:
             raise ValueError(f"unknown closure flag: {flag!r}")
 
-    items: list[Formula] = []
+    items: dict[Formula, None] = {}  # insertion-ordered, with hashed membership
 
     def add(f: Formula) -> None:
         if f not in items:
-            if len(items) >= max_size:
+            if len(items) >= MAX_UNIVERSE:
                 raise CapExceededError(
-                    f"universe would exceed the size cap ({max_size} formulas)"
+                    f"universe would exceed the size cap ({MAX_UNIVERSE} formulas)"
                 )
-            items.append(f)
+            items[f] = None
 
     for f in seed_items:
         add(f)
@@ -350,11 +348,10 @@ def build_universe(
         add(falsum_of(v for f in seed_items for v in variables(f)))
 
     if "subformulas" in flag_set:
-        frontier = 0
-        while frontier < len(items):
-            current = items[frontier]
-            frontier += 1
-            for sub in subformulas(current):
+        # One pass: a subformula's own subformulas are already among its
+        # parent's, so walking the added nodes again adds nothing.
+        for f in list(items):
+            for sub in subformulas(f):
                 add(sub)
 
     core = list(items)  # negations and conjunctions both range over this snapshot

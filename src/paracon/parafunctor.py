@@ -146,7 +146,10 @@ def _premise_items(premises: Iterable[Formula], max_size: int) -> tuple[Formula,
 
 
 def _subset(items: tuple[Formula, ...], mask: int) -> FormulaSet:
-    return FormulaSet(items[i] for i in range(len(items)) if mask >> i & 1)
+    # items come deduped from _premise_items: no second dedupe pass.
+    return FormulaSet._of_distinct(
+        tuple(items[i] for i in range(len(items)) if mask >> i & 1)
+    )
 
 
 def maximal_consistent_subsets(

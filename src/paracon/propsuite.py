@@ -140,8 +140,8 @@ class FormulaSampler:
     def formula(self, depth: int = MAX_DEPTH) -> Formula:
         return _draw_formula(self.rng.getrandbits, depth)
 
-    def premise_set(self, min_size: int = 0, max_size: int = MAX_PREMISES) -> FormulaSet:
-        size = self.rng.randint(min_size, max_size)
+    def premise_set(self, min_size: int = 0) -> FormulaSet:
+        size = self.rng.randint(min_size, MAX_PREMISES)
         return FormulaSet(self.formula() for _ in range(size))
 
     def subset_of(self, fs: FormulaSet) -> FormulaSet:

@@ -18,8 +18,7 @@ from .errors import CapExceededError, StructureFormatError
 from .formula import FormulaSet, Not, falsum_of, render, variables
 
 
-MAX_ATOMS = 16  # the largest domain a structure, or a structure file, may have
-RESTRICTION_ATOMS = 14  # the largest universe classical_restriction accepts
+MAX_ATOMS = 16  # the largest domain of a structure, structure file or restriction
 FIELD = 16  # bits per packed table entry ("H"): one per atom, up to MAX_ATOMS
 
 
@@ -293,7 +292,7 @@ def classical_restriction(universe: FormulaSet) -> FiniteConsequenceStructure:
     member classically entailed by A.  The negation map sends u to ~u when
     ~u is in the universe, otherwise to the falsum member p0 & ~p0 for the
     least variable p0 (which the with_falsum closure adds).  The universe
-    may hold at most RESTRICTION_ATOMS formulas over at most TABLE_VARIABLES
+    may hold at most MAX_ATOMS formulas over at most TABLE_VARIABLES
     distinct variables.
     """
     formulas = list(universe)
@@ -302,11 +301,7 @@ def classical_restriction(universe: FormulaSet) -> FiniteConsequenceStructure:
     if falsum not in formulas:
         raise ValueError("universe must be built with the with_falsum closure")
     n = len(formulas)
-    if n > RESTRICTION_ATOMS:
-        raise CapExceededError(
-            f"universe of {n} formulas exceeds the restriction cap "
-            f"of {RESTRICTION_ATOMS}"
-        )
+    check_atom_cap(n)
     if len(names) > TABLE_VARIABLES:
         raise CapExceededError(
             f"universe mentions {len(names)} variables, above the truth-table "

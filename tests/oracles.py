@@ -63,6 +63,45 @@ def oracle_para_entails(premises, conclusion):
     return False
 
 
+def _preorder(f):
+    yield f
+    if isinstance(f, Not):
+        yield from _preorder(f.child)
+    elif not isinstance(f, Var):
+        yield from _preorder(f.left)
+        yield from _preorder(f.right)
+
+
+def oracle_universe(seed, flags):
+    """The closure as a fixpoint: every added subformula is walked again."""
+    items = []
+
+    def add(f):
+        if f not in items:
+            items.append(f)
+
+    for f in seed:
+        add(f)
+    if "with_falsum" in flags:
+        least = Var(min(set().union(*(oracle_variables(f) for f in items))))
+        add(And(least, Not(least)))
+    if "subformulas" in flags:
+        frontier = 0
+        while frontier < len(items):
+            for sub in _preorder(items[frontier]):
+                add(sub)
+            frontier += 1
+    core = list(items)
+    if "negations" in flags:
+        for f in core:
+            add(Not(f))
+    if "conjunctions" in flags:
+        for i, left in enumerate(core):
+            for right in core[i + 1 :]:
+                add(And(left, right))
+    return tuple(items)
+
+
 def oracle_mcs_masks(premises):
     """All maximal satisfiable subset bitmasks, by (-cardinality, mask)."""
     items = list(premises)

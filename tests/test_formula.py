@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import oracle_universe
 from paracon import (
     And,
     CapExceededError,
@@ -21,7 +22,7 @@ from paracon import (
     subformulas,
     variables,
 )
-from paracon.formula import MAX_NESTING, falsum_of
+from paracon.formula import CLOSURE_FLAGS, MAX_NESTING, falsum_of
 
 P, Q, R = Var("p"), Var("q"), Var("r")
 
@@ -258,7 +259,8 @@ def test_formula_set_dedups_preserving_order():
 
 
 def test_formula_set_file_format():
-    text = "# premises\np\n\n~p  \n# trailing comment\np | q\n"
+    # A repeated line keeps its first position.
+    text = "# premises\np\n\n~p  \n# trailing comment\np | q\n~ p\n"
     fs = parse_formula_set(text)
     assert fs.items == (P, Not(P), Or(P, Q))
     assert format_formula_set(fs) == "p\n~p\np | q\n"
@@ -341,6 +343,22 @@ def test_universe_rejects_unknown_flag_and_empty_seed():
 
 
 def test_universe_size_cap():
-    seed = [Var(f"v{i}") for i in range(10)]
-    with pytest.raises(CapExceededError):
-        build_universe(seed, ("conjunctions",), max_size=20)
+    # 91 variables and their 4095 pairwise conjunctions would make 4186.
+    seed = [Var(f"v{i}") for i in range(91)]
+    with pytest.raises(CapExceededError, match="4096"):
+        build_universe(seed, ("conjunctions",))
+    assert len(build_universe(seed[:90], ("conjunctions",))) == 4095
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        tuple(flag for i, flag in enumerate(CLOSURE_FLAGS) if subset >> i & 1)
+        for subset in range(1 << len(CLOSURE_FLAGS))
+    ],
+)
+def test_universe_matches_the_fixpoint_closure(flags):
+    rng = random.Random(f"universe {flags}")
+    for _ in range(200):
+        seed = [_random_formula(rng, rng.randint(0, 3)) for _ in range(rng.randint(1, 3))]
+        assert build_universe(seed, flags).items == oracle_universe(seed, flags)

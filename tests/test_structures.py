@@ -39,9 +39,9 @@ from paracon import (
     loads_structure,
     load_structure,
     save_structure,
+    variables,
 )
 from paracon.propsuite import FormulaSampler
-from paracon.structures import RESTRICTION_ATOMS
 
 P = Var("p")
 
@@ -418,12 +418,13 @@ def test_restriction_matches_the_entailment_oracle_on_random_universes():
 def test_restriction_at_the_atom_and_variable_caps():
     x = [Var(f"x{i:02d}") for i in range(16)]
     seed = [And(x[2 * i], Or(x[2 * i + 1], Not(x[(2 * i + 3) % 16]))) for i in range(8)]
-    seed += [Implies(x[i], x[i + 1]) for i in range(4)] + [Not(x[0])]
+    seed += [Implies(x[i], x[i + 1]) for i in range(6)] + [Not(x[0])]
     formulas = build_universe(seed, ("with_falsum",)).items
-    assert len(formulas) == RESTRICTION_ATOMS
+    assert len(formulas) == 16
+    assert len(set().union(*map(variables, formulas))) == 16
     s = classical_restriction(FormulaSet(formulas))
     rng = random.Random(16)
-    for mask in [0, s.full_mask, 0b1000000000001, *rng.sample(range(1 << 14), 40)]:
+    for mask in [0, s.full_mask, 0b1000000000001, *rng.sample(range(1 << 16), 40)]:
         assert s.table[mask] == _entailed_mask(formulas, mask, entails), mask
 
 
@@ -450,8 +451,22 @@ def test_restriction_size_cap():
     seed = [Var(f"x{i}") for i in range(9)]
     u = build_universe(seed, ("negations", "with_falsum"))
     with pytest.raises(
-        CapExceededError, match="universe of 20 formulas exceeds the restriction cap of 14"
+        CapExceededError, match="domain of 20 atoms exceeds the cap of 16"
     ):
+        classical_restriction(u)
+
+
+def test_restriction_checks_the_atom_cap_before_the_truth_table(monkeypatch):
+    import paracon.structures
+
+    def unreachable(names):
+        raise AssertionError("truth_table called above the atom cap")
+
+    monkeypatch.setattr(paracon.structures, "truth_table", unreachable)
+    # 16 variables and their falsum: only the atom cap stops it.
+    u = build_universe([Var(f"x{i:02d}") for i in range(16)], ("with_falsum",))
+    assert len(u) == 17
+    with pytest.raises(CapExceededError, match="domain of 17 atoms"):
         classical_restriction(u)
 
 
