@@ -137,24 +137,23 @@ def is_satisfiable(premises: Iterable[Formula]) -> bool:
 
 
 def _search(formulas: list[Formula], names: list[str]) -> bool:
-    # Backtracking over valuations, pruned by three-valued evaluation.
-    valuation: dict[str, bool] = {}
-
-    def extend(index: int) -> bool:
-        for f in formulas:
-            if _evaluate_partial(f, valuation) is False:
-                return False
-        if index == len(names):
-            return True
-        name = names[index]
-        for value in (False, True):
-            valuation[name] = value
-            if extend(index + 1):
+    # Depth-first over valuations (names in order, False before True), each
+    # node pruned by three-valued evaluation; a loop, so any number of names.
+    valuation: dict[str, bool] = {}  # names[:len(valuation)], in insertion order
+    while True:
+        if all(_evaluate_partial(f, valuation) is not False for f in formulas):
+            if len(valuation) == len(names):
                 return True
-        del valuation[name]
-        return False
-
-    return extend(0)
+            valuation[names[len(valuation)]] = False
+            continue
+        # Back up to the deepest name still False and set it True.
+        while valuation:
+            name, value = valuation.popitem()
+            if not value:
+                valuation[name] = True
+                break
+        else:
+            return False
 
 
 def entails(premises: Iterable[Formula], conclusion: Formula) -> bool:

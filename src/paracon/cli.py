@@ -9,6 +9,7 @@ cap, or the interpreter's recursion limit on a formula too deep for it
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -230,6 +231,7 @@ def _cmd_verify_table(args) -> int:
     return 0 if matches else 1
 
 
+@functools.cache  # one parser per process: building it costs more than a parse
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paracon",

@@ -323,14 +323,6 @@ def build_universe(seed: Iterable[Formula], flags: Iterable[str] = ()) -> Formul
     u & v for each unordered pair of distinct pre-negation elements (one
     level).  Ordering is deterministic (insertion order by stage).
     """
-    seed_items = list(FormulaSet(seed))
-    if not seed_items:
-        raise ValueError("seed must be non-empty")
-    flag_set = list(dict.fromkeys(flags))
-    for flag in flag_set:
-        if flag not in CLOSURE_FLAGS:
-            raise ValueError(f"unknown closure flag: {flag!r}")
-
     items: dict[Formula, None] = {}  # insertion-ordered, with hashed membership
 
     def add(f: Formula) -> None:
@@ -341,11 +333,20 @@ def build_universe(seed: Iterable[Formula], flags: Iterable[str] = ()) -> Formul
                 )
             items[f] = None
 
-    for f in seed_items:
+    # The seed goes through the cap too, before any closure work.
+    for f in seed:
+        if not isinstance(f, Formula):
+            raise TypeError(f"not a Formula: {f!r}")
         add(f)
+    if not items:
+        raise ValueError("seed must be non-empty")
+    flag_set = list(dict.fromkeys(flags))
+    for flag in flag_set:
+        if flag not in CLOSURE_FLAGS:
+            raise ValueError(f"unknown closure flag: {flag!r}")
 
     if "with_falsum" in flag_set:
-        add(falsum_of(v for f in seed_items for v in variables(f)))
+        add(falsum_of(v for f in items for v in variables(f)))  # items: the seed
 
     if "subformulas" in flag_set:
         # One pass: a subformula's own subformulas are already among its

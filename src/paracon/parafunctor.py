@@ -36,12 +36,7 @@ from .classical import (
 )
 from .errors import CapExceededError
 from .formula import Formula, FormulaSet, variables
-from .structures import (
-    FiniteConsequenceStructure,
-    pack_table,
-    sweep_table,
-    unpack_table,
-)
+from .structures import FiniteConsequenceStructure, sweep_table
 
 MCS_CAP = 20
 
@@ -66,10 +61,11 @@ def paraconsistentize_finite(
 ) -> FiniteConsequenceStructure:
     """Apply the transform to a finite structure as a sum over subsets.
 
-    Inconsistent entries are zeroed, then one sweep_table pass over the
-    packed table ORs every subset's entry into each of its supersets.  Only
-    the table is read, so any table, closure operator or not, gets CnP as
-    defined.
+    Inconsistent entries are zeroed, then one sweep_table pass ORs every
+    subset's entry into each of its supersets.  The inclusive transform
+    first ORs each subset into its own entry: the union of the subsets of A
+    is A, so the sweep then gives CnP(A) with A.  Only the table is read, so
+    any table, closure operator or not, gets CnP as defined.
 
     Homomorphisms (injective maps h with h(Cn(A)) == Cn'(h(A))): every h
     that reflects consistency (h(A) consistent implies A consistent) stays a
@@ -79,11 +75,11 @@ def paraconsistentize_finite(
     the whole domain; proper injections can fail this.
     """
     full = structure.full_mask
-    table = pack_table([0 if value == full else value for value in structure.table])
-    table = sweep_table(table, structure.n_atoms, union=True)
     if options.inclusive:
-        table |= pack_table(range(full + 1))
-    table = unpack_table(table, full + 1)
+        values = [(0 if v == full else v) | m for m, v in enumerate(structure.table)]
+    else:
+        values = [0 if v == full else v for v in structure.table]
+    table = sweep_table(values, structure.n_atoms, union=True)
     return FiniteConsequenceStructure(structure.domain, table, structure.negation)
 
 

@@ -51,14 +51,16 @@ class FiniteConsequenceStructure:
         if len(table) != size:
             raise ValueError(f"table must have {size} entries, got {len(table)}")
         full = size - 1
+        # The 16-bit pack rejects any value that is not an int in 0..65535
+        # (bools pass); the AND finds a field with a bit set above full.
+        above_full = tile(((1 << FIELD) - 1) ^ full, FIELD, FIELD * size)
         try:
-            # Rejects any non-int value in C (bools pass).  An int too wide
-            # for 64 bits fails here too, and is out of range below.
-            struct.pack(f"<{size}q", *table)
+            in_range = not pack_table(table) & above_full
         except struct.error:
             if not all(isinstance(value, int) for value in table):
                 raise TypeError("table values must be ints") from None
-        if not 0 <= min(table) <= max(table) <= full:
+            in_range = False
+        if not in_range:
             mask = next(m for m, value in enumerate(table) if not 0 <= value <= full)
             raise ValueError(f"table value out of range for subset {mask}")
         if negation is not None:
@@ -214,11 +216,11 @@ def check_homomorphism(candidate: HomomorphismCandidate) -> AxiomReport:
             )
         seen[image] = atom
 
-    # Every subset's image, each from the subset without its lowest atom.
+    # A subset's image is the union of its atoms' images.
     image = [0] * (1 << src.n_atoms)
-    for mask in range(1, 1 << src.n_atoms):
-        low = mask & -mask
-        image[mask] = image[mask ^ low] | 1 << images[low.bit_length() - 1]
+    for i, target in enumerate(images):
+        image[1 << i] = 1 << target
+    image = sweep_table(image, src.n_atoms, union=True)
 
     for mask in range(1 << src.n_atoms):
         if image[src.table[mask]] != tgt.table[image[mask]]:
@@ -326,8 +328,8 @@ def classical_restriction(universe: FormulaSet) -> FiniteConsequenceStructure:
         label: labels[index.get(Not(f), index[falsum])]
         for f, label in zip(formulas, labels)
     }
-    table = sweep_table(pack_table(table), n, union=False)
-    return FiniteConsequenceStructure(labels, unpack_table(table, 1 << n), negation)
+    table = sweep_table(table, n, union=False)
+    return FiniteConsequenceStructure(labels, table, negation)
 
 
 def pack_table(values: Sequence[int]) -> int:
@@ -335,19 +337,16 @@ def pack_table(values: Sequence[int]) -> int:
     return int.from_bytes(struct.pack(f"<{len(values)}H", *values), "little")
 
 
-def unpack_table(table: int, size: int) -> tuple[int, ...]:
-    """The first size entries of a packed table."""
-    return struct.unpack(f"<{size}H", table.to_bytes(size * FIELD // 8, "little"))
-
-
-def sweep_table(table: int, n: int, union: bool) -> int:
-    """Fold a packed 2**n-entry table over the subset order.
+def sweep_table(values: Sequence[int], n: int, union: bool) -> tuple[int, ...]:
+    """Fold a 2**n-entry table over the subset order; entries in, entries out.
 
     Entry A becomes the OR of the entries of A's subsets (union=True) or the
-    AND of the entries of A's supersets (union=False).  Each atom costs one
-    shift and one OR or AND over the whole table: n whole-table steps in
-    place of n * 2**n entry updates.
+    AND of the entries of A's supersets (union=False).  The entries are
+    packed into one int, and each atom costs one shift and one OR or AND
+    over the whole table: n whole-table steps in place of n * 2**n entry
+    updates.
     """
+    table = pack_table(values)
     width = FIELD << n
     for i in range(n):
         # The fields of the subsets without atom i; each one's subset with
@@ -358,7 +357,7 @@ def sweep_table(table: int, n: int, union: bool) -> int:
             table |= (table & lower) << shift
         else:
             table &= (table >> shift) | ~lower
-    return table
+    return struct.unpack(f"<{1 << n}H", table.to_bytes(width // 8, "little"))
 
 
 # ---------------------------------------------------------------------------

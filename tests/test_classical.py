@@ -133,6 +133,16 @@ def test_satisfiable_at_the_truth_table_boundary(width):
     assert not entails(chain[1:], last)
 
 
+def test_search_has_no_limit_on_the_number_of_variables():
+    # One search level per variable: 1100 levels is past the default
+    # recursion limit, which a recursive search would hit.
+    atoms = [Var(f"v{i}") for i in range(1100)]
+    assert is_satisfiable(atoms)
+    assert not is_satisfiable([*atoms, Not(atoms[-1])])
+    assert entails(atoms, atoms[-1])
+    assert not entails(atoms, Not(atoms[0]))
+
+
 @given(st.lists(formula_strategy, max_size=4))
 def test_satisfiable_matches_oracle_property(premises):
     assert is_satisfiable(premises) == oracle_satisfiable(premises)

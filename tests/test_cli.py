@@ -17,6 +17,7 @@ from paracon import (
     loads_structure,
 )
 import paracon
+from paracon import cli
 from paracon.cli import main
 from paracon.formula import CLOSURE_FLAGS
 
@@ -195,6 +196,22 @@ def test_classify_empty_premises_need_explicit_universe(tmp_path, capsys):
     code, out, _ = run(capsys, "classify", str(path), "--universe", str(upath))
     assert code == 0
     assert "consistent: yes" in out
+
+
+def test_classify_beyond_the_recursion_limit_in_variables(tmp_path, capsys):
+    # 1100 one-atom premises: the search goes one level per variable, past
+    # the default recursion limit, though no formula is deeper than one.
+    path = tmp_path / "wide.txt"
+    path.write_text("".join(f"v{i}\n" for i in range(1100)), encoding="utf-8")
+    upath = tmp_path / "universe.txt"
+    upath.write_text("v0\n", encoding="utf-8")
+    code, out, err = run(capsys, "classify", str(path), "--universe", str(upath))
+    assert (code, err) == (0, "")
+    assert "consistent: yes" in out
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_entail_para_cap_exits_3(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -348,6 +349,25 @@ def test_universe_size_cap():
     with pytest.raises(CapExceededError, match="4096"):
         build_universe(seed, ("conjunctions",))
     assert len(build_universe(seed[:90], ("conjunctions",))) == 4095
+
+
+def test_universe_caps_the_seed_before_any_quadratic_dedupe():
+    seed = [Var(f"v{i}") for i in range(5000)]
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="4096"):
+        build_universe(seed)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_universe_checks_types_then_emptiness_then_flags():
+    with pytest.raises(TypeError, match="not a Formula: 'q'"):
+        build_universe([P, "q"])
+    with pytest.raises(TypeError, match="not a Formula: 3"):
+        build_universe([3], ("negation",))
+    with pytest.raises(ValueError, match="seed must be non-empty"):
+        build_universe([], ("negation",))
+    with pytest.raises(ValueError, match="unknown closure flag: 'negation'"):
+        build_universe([P, P], ("negation",))
 
 
 @pytest.mark.parametrize(

@@ -87,6 +87,11 @@ def test_rejects_out_of_range_values():
         ((8, 1, 2, 3, 4, 5, 6, -1), 0),
         ((0, 1, 2, 3, 4, 5, 6, -1), 7),
         ((0, 1, 2, 3, 4, 5, 6, 8), 7),
+        ((0, 1, 65535, 3), 2),
+        ((0, 1, 65536, 3), 2),
+        ((0, 2**70, 2, -(2**70)), 1),
+        ((*range(40000), 65536, *range(40001, 1 << 16)), 40000),
+        ((*range(50000), -1, *range(50001, 1 << 16)), 50000),
     ],
 )
 def test_out_of_range_error_names_first_bad_subset(table, first):
@@ -96,10 +101,19 @@ def test_out_of_range_error_names_first_bad_subset(table, first):
     assert str(excinfo.value) == f"table value out of range for subset {first}"
 
 
+def test_accepts_every_value_up_to_the_full_domain():
+    # At 16 atoms every 16-bit value is in range; bools are ints.
+    full = FiniteConsequenceStructure(LETTERS[:16], [65535] * (1 << 16))
+    assert full.cn_mask(7) == 65535
+    assert FiniteConsequenceStructure(("a",), (False, True)).table == (False, True)
+
+
 @pytest.mark.parametrize("bad", ["1", None, [1], 0.5, float("nan")])
 def test_rejects_non_int_values(bad):
     with pytest.raises(TypeError):
         FiniteConsequenceStructure(("a", "b"), (0, 1, bad, 3))
+    with pytest.raises(TypeError, match="table values must be ints"):
+        FiniteConsequenceStructure(("a", "b"), (0, 2**70, 2, bad))
 
 
 def test_rejects_partial_negation():
@@ -189,6 +203,45 @@ def test_identity_map_is_homomorphism():
     s = random_closure_structure(random.Random(8), 3)
     candidate = HomomorphismCandidate(s, s, {a: a for a in s.domain})
     assert check_homomorphism(candidate).holds
+
+
+def test_homomorphism_at_the_atom_cap():
+    # A relabelled copy of a 16-atom table holds; swapping two atoms'
+    # images fails first where a per-subset reference says it does.
+    rng = random.Random(16)
+    n, size = 16, 1 << 16
+    perm = list(range(n))
+    rng.shuffle(perm)
+
+    def images_under(perm):
+        return [
+            sum(1 << perm[i] for i in range(n) if mask >> i & 1) for mask in range(size)
+        ]
+
+    # Identity on the subsets without the last atom, arbitrary on the rest.
+    source_table = [*range(size // 2), *(rng.randrange(size) for _ in range(size // 2))]
+    source = FiniteConsequenceStructure(LETTERS[:n], source_table)
+    image = images_under(perm)
+    target_table = [0] * size
+    for mask, value in enumerate(source_table):
+        target_table[image[mask]] = image[value]
+    target = FiniteConsequenceStructure([f"t{i}" for i in range(n)], target_table)
+    mapping = {a: target.domain[perm[i]] for i, a in enumerate(source.domain)}
+    assert check_homomorphism(HomomorphismCandidate(source, target, mapping)).holds
+
+    perm[0], perm[1] = perm[1], perm[0]
+    image = images_under(perm)
+    first = next(
+        mask
+        for mask in range(size)
+        if image[source_table[mask]] != target_table[image[mask]]
+    )
+    assert first >= size // 2
+    mapping = {a: target.domain[perm[i]] for i, a in enumerate(source.domain)}
+    report = check_homomorphism(HomomorphismCandidate(source, target, mapping))
+    assert not report.holds
+    assert report.counterexample == (source.labels_of(first),)
+    assert report.note == "consequence square does not commute"
 
 
 def test_constant_map_fails_injectivity():
