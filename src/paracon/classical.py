@@ -6,7 +6,9 @@ bitmap over the whole truth table, computed bit-parallel with &, | and
 complement over per-variable row patterns; a premise set is satisfiable iff
 its bitmaps intersect.  Beyond that a backtracking valuation search decides
 satisfiability.  Consequence sets are never materialized; everything is a
-decision procedure over finite premise sets.
+decision procedure over finite premise sets.  The table's row order and cap
+are private to this module: others ask for subset meets, holding rows and
+row signatures.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
+from .errors import CapExceededError
 from .formula import And, Formula, FormulaSet, Implies, Not, Or, Var, variables
 
 Valuation = Mapping[str, bool]
@@ -80,6 +83,65 @@ def truth_table(names: Sequence[str]) -> tuple[int, Callable[[Formula], int]]:
     return full, lambda f: _models(f, pattern, full)
 
 
+def subset_meets(formulas: Sequence[Formula]) -> tuple[Optional[list], Callable]:
+    """The table's variables, and meet(mask): the rows where the chosen formulas hold.
+
+    Bit i of a mask chooses formulas[i].  Above TABLE_VARIABLES the variables
+    are None and meet(mask) is whether the chosen set is satisfiable.
+    """
+    names = sorted({v for f in formulas for v in variables(f)})
+    if len(names) > TABLE_VARIABLES:
+        return None, lambda mask: is_satisfiable(
+            f for i, f in enumerate(formulas) if mask >> i & 1
+        )
+    full, models = truth_table(names)
+    bitmaps = [models(f) for f in formulas]
+
+    def meet(mask: int) -> int:
+        bits = full
+        while mask and bits:
+            low = mask & -mask
+            bits &= bitmaps[low.bit_length() - 1]
+            mask ^= low
+        return bits
+
+    return names, meet
+
+
+def holding_rows(names: Sequence[str], f: Formula) -> Optional[int]:
+    """The rows over names where f holds for every value of its other variables.
+
+    None when names and f's other variables exceed TABLE_VARIABLES.
+    """
+    extra = sorted(variables(f).difference(names))
+    if len(names) + len(extra) > TABLE_VARIABLES:
+        return None
+    # Evaluate f over the table widened by its own variables (the top row
+    # bits), then AND each widening's upper half into its lower half.
+    full, models = truth_table([*extra, *names])
+    holds = models(f)
+    width, rows = full.bit_length(), 1 << len(names)
+    while width > rows:
+        width >>= 1
+        holds &= holds >> width
+    return holds
+
+
+def row_signatures(formulas: Sequence[Formula]) -> set[int]:
+    """Each row's signature: bit i is set iff formulas[i] holds on the row."""
+    names = sorted({v for f in formulas for v in variables(f)})
+    if len(names) > TABLE_VARIABLES:
+        raise CapExceededError(
+            f"universe mentions {len(names)} variables, above the truth-table "
+            f"cap of {TABLE_VARIABLES}"
+        )
+    # Bitmaps are written high row first; the last formula is the top bit.
+    all_rows, models = truth_table(names)
+    width = all_rows.bit_length()
+    columns = [format(models(f), f"0{width}b") for f in reversed(formulas)]
+    return {int("".join(bits), 2) for bits in zip(*columns)}
+
+
 def evaluate(f: Formula, valuation: Valuation) -> bool:
     """Truth value of f under a valuation total over variables(f)."""
     pattern = {name: 1 if value else 0 for name, value in valuation.items()}
@@ -139,21 +201,29 @@ def is_satisfiable(premises: Iterable[Formula]) -> bool:
 def _search(formulas: list[Formula], names: list[str]) -> bool:
     # Depth-first over valuations (names in order, False before True), each
     # node pruned by three-valued evaluation; a loop, so any number of names.
+    # A node checks only the formulas over the name it set: the others were
+    # not False at its parent (and, each having a variable, undecided at the root).
+    mentions: dict[str, list[Formula]] = {name: [] for name in names}
+    for f in formulas:
+        for name in variables(f):
+            mentions[name].append(f)
     valuation: dict[str, bool] = {}  # names[:len(valuation)], in insertion order
+    checked: list[Formula] = []
     while True:
-        if all(_evaluate_partial(f, valuation) is not False for f in formulas):
+        if all(_evaluate_partial(f, valuation) is not False for f in checked):
             if len(valuation) == len(names):
                 return True
             valuation[names[len(valuation)]] = False
-            continue
-        # Back up to the deepest name still False and set it True.
-        while valuation:
-            name, value = valuation.popitem()
-            if not value:
-                valuation[name] = True
-                break
         else:
-            return False
+            # Back up to the deepest name still False and set it True.
+            while valuation:
+                name, value = valuation.popitem()
+                if not value:
+                    valuation[name] = True
+                    break
+            else:
+                return False
+        checked = mentions[next(reversed(valuation))]
 
 
 def entails(premises: Iterable[Formula], conclusion: Formula) -> bool:

@@ -12,30 +12,28 @@ decided by scanning maximal consistent subsets: classical entailment is
 monotone, so every consistent subset extends to a maximal one inside A and
 the scan is sound and complete.
 
-Each premise set is compiled once (and cached): its MCSes in canonical order
-and, up to TABLE_VARIABLES variables, its truth table with each MCS's rows,
-the AND of its members' satisfying-rows bitmaps.  A query then evaluates f
-once over that table and is one AND per MCS: M |- f iff no row of M
-falsifies f.  Wider sets scan the MCSes with classical entailment.
+Each premise set is compiled once (and cached) to its MCSes in canonical
+order and one support test.  While the premises and f fit in the truth table
+of `classical`, M |- f is one AND: f holds on every row where M's members
+do.  Wider sets scan the MCSes with classical entailment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Optional
 
 from .classical import (
-    TABLE_VARIABLES,
     SetClassification,
     classify_by,
     entails,
+    holding_rows,
     is_contradiction,
-    is_satisfiable,
-    truth_table,
+    subset_meets,
 )
 from .errors import CapExceededError
-from .formula import Formula, FormulaSet, variables
+from .formula import Formula, FormulaSet
 from .structures import FiniteConsequenceStructure, sweep_table
 
 MCS_CAP = 20
@@ -83,53 +81,34 @@ def paraconsistentize_finite(
     return FiniteConsequenceStructure(structure.domain, table, structure.negation)
 
 
-class _PremiseTable(NamedTuple):
-    masks: tuple[int, ...]  # the MCSes: descending size, then ascending mask
-    names: Optional[tuple[str, ...]]  # the table's variables; None above the cap
-    rows: tuple[int, ...]  # per MCS, the AND of its members' bitmaps; () above the cap
-
-
 # An entry keeps every MCS's rows, up to 2**16 bits each (0.57 MB for 128
 # MCSes over 16 variables), so at most 256 sets stay cached.
 @lru_cache(maxsize=256)
-def _mcs_masks(items: tuple[Formula, ...]) -> _PremiseTable:
-    n = len(items)
-    names = sorted({v for f in items for v in variables(f)})
-    if len(names) <= TABLE_VARIABLES:
-        # One satisfying-rows bitmap per premise: a subset's rows are the AND
-        # of its members' bitmaps, lowest bit first, cut at the first empty one.
-        full, models = truth_table(names)
-        bitmaps = [models(f) for f in items]
-
-        def rows_of(mask: int) -> int:
-            bits = full
-            while mask and bits:
-                low = mask & -mask
-                bits &= bitmaps[low.bit_length() - 1]
-                mask ^= low
-            return bits
-
-    else:
-        # Beyond TABLE_VARIABLES: one backtracking search per mask tested.
-        def rows_of(mask: int) -> bool:
-            return is_satisfiable(items[i] for i in range(n) if mask >> i & 1)
-
+def _compile(items: tuple[Formula, ...]) -> tuple[tuple[int, ...], Callable]:
+    """The MCSes as masks, and first_support(f): the first entailing f, or None."""
+    names, meet = subset_meets(items)
     # Masks by descending cardinality, ties in ascending order (the sort is
     # stable under reverse); a mask is maximal iff satisfiable and not
     # contained in an earlier maximal one.
     found: list[int] = []
     rows: list[int] = []
-    for mask in sorted(range(1 << n), key=int.bit_count, reverse=True):
+    for mask in sorted(range(1 << len(items)), key=int.bit_count, reverse=True):
         if any(mask & big == mask for big in found):
             continue
-        bits = rows_of(mask)
+        bits = meet(mask)
         if bits:
             found.append(mask)
             rows.append(bits)
-    if len(names) > TABLE_VARIABLES:
-        return _PremiseTable(tuple(found), None, ())
-    # An MCS's rows are exactly the rows whose true premises are that MCS.
-    return _PremiseTable(tuple(found), tuple(names), tuple(rows))
+
+    def first_support(f: Formula) -> Optional[int]:
+        holds = None if names is None else holding_rows(names, f)
+        if holds is None:
+            return next((m for m in found if entails(_subset(items, m), f)), None)
+        # M |- f iff no row of M (where exactly M's members hold) falsifies f.
+        falsified = ~holds
+        return next((m for m, r in zip(found, rows) if not r & falsified), None)
+
+    return tuple(found), first_support
 
 
 def _premise_items(premises: Iterable[Formula], max_size: int) -> tuple[Formula, ...]:
@@ -153,33 +132,7 @@ def maximal_consistent_subsets(
 ) -> list[FormulaSet]:
     """All subset-maximal satisfiable subsets, in deterministic order."""
     items = _premise_items(premises, max_size)
-    return [_subset(items, mask) for mask in _mcs_masks(items).masks]
-
-
-def _first_support(
-    items: tuple[Formula, ...], table: _PremiseTable, conclusion: Formula
-) -> Optional[int]:
-    """The first MCS (canonical order) entailing conclusion, as a mask, or None."""
-    if table.names is not None:
-        extra = sorted(variables(conclusion).difference(table.names))
-        if len(table.names) + len(extra) <= TABLE_VARIABLES:
-            # Evaluate the conclusion over the premise table widened by its
-            # own variables (as the most significant row bits), then AND the
-            # halves of each widening: a premise row holds f only if f holds
-            # for every value of the variables no premise mentions.
-            full, models = truth_table([*extra, *table.names])
-            holds = models(conclusion)
-            width, premise_rows = full.bit_length(), 1 << len(table.names)
-            while width > premise_rows:
-                width >>= 1
-                holds &= holds >> width
-            falsified = ~holds
-            return next(
-                (m for m, r in zip(table.masks, table.rows) if not r & falsified), None
-            )
-    return next(
-        (m for m in table.masks if entails(_subset(items, m), conclusion)), None
-    )
+    return [_subset(items, mask) for mask in _compile(items)[0]]
 
 
 def para_entails(
@@ -187,7 +140,7 @@ def para_entails(
 ) -> Optional[ParaWitness]:
     """A |-P f: the first maximal consistent subset entailing f, if any."""
     items = _premise_items(premises, max_size)
-    mask = _first_support(items, _mcs_masks(items), conclusion)
+    mask = _compile(items)[1](conclusion)
     return None if mask is None else ParaWitness(conclusion, _subset(items, mask), True)
 
 
@@ -199,11 +152,10 @@ def para_classify(
     Consistency is the finite-universe surrogate: some candidate must not be
     |-P-derivable (a stand-in for the consequence set being proper).
     """
-    items = _premise_items(premises, MCS_CAP)
-    table = _mcs_masks(items)
+    first_support = _compile(_premise_items(premises, MCS_CAP))[1]
 
     def derives(f: Formula) -> bool:
-        return _first_support(items, table, f) is not None
+        return first_support(f) is not None
 
     return classify_by(
         candidates,

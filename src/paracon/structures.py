@@ -13,7 +13,7 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .classical import TABLE_VARIABLES, tile, truth_table
+from .classical import row_signatures, tile
 from .errors import CapExceededError, StructureFormatError
 from .formula import FormulaSet, Not, falsum_of, render, variables
 
@@ -294,34 +294,20 @@ def classical_restriction(universe: FormulaSet) -> FiniteConsequenceStructure:
     member classically entailed by A.  The negation map sends u to ~u when
     ~u is in the universe, otherwise to the falsum member p0 & ~p0 for the
     least variable p0 (which the with_falsum closure adds).  The universe
-    may hold at most MAX_ATOMS formulas over at most TABLE_VARIABLES
-    distinct variables.
+    may hold at most MAX_ATOMS formulas, over no more variables than the
+    truth table of `classical` takes.
     """
     formulas = list(universe)
-    names = sorted({v for f in formulas for v in variables(f)})
-    falsum = falsum_of(names)
+    falsum = falsum_of(v for f in formulas for v in variables(f))
     if falsum not in formulas:
         raise ValueError("universe must be built with the with_falsum closure")
     n = len(formulas)
     check_atom_cap(n)
-    if len(names) > TABLE_VARIABLES:
-        raise CapExceededError(
-            f"universe mentions {len(names)} variables, above the truth-table "
-            f"cap of {TABLE_VARIABLES}"
-        )
-    labels = [render(f) for f in formulas]
-
-    # A row's signature is the set of members it satisfies, and Cn(A) is the
-    # intersection of the signatures containing A (none: everything).  Each
-    # member's bitmap is written out most significant row first, and the
-    # last member is the signatures' most significant bit.
-    all_rows, models = truth_table(names)
-    width = all_rows.bit_length()
-    columns = [format(models(f), f"0{width}b") for f in reversed(formulas)]
+    # Cn(A) is the intersection of the row signatures containing A (none: all).
     table = [(1 << n) - 1] * (1 << n)
-    for bits in set(zip(*columns)):
-        signature = int("".join(bits), 2)
+    for signature in row_signatures(formulas):
         table[signature] = signature
+    labels = [render(f) for f in formulas]
 
     index = {f: i for i, f in enumerate(formulas)}
     negation = {

@@ -2,7 +2,8 @@
 
 Nothing here shares code with the package's decision procedures: evaluation
 is a plain recursion, satisfiability is an unpruned truth-table sweep, and
-para-entailment scans literally every subset of the premises.
+para-entailment scans literally every subset of the premises.  The seeded
+random_formula draws the test inputs.
 """
 
 import itertools
@@ -374,3 +375,15 @@ class ChoiceFormulaSampler:
             return Not(self.formula(depth - 1))
         left, right = self.formula(depth - 1), self.formula(depth - 1)
         return {"and": And, "or": Or, "implies": Implies}[kind](left, right)
+
+
+def random_formula(rng, depth=4, pool=("p", "q", "r")):
+    """A seeded random formula of at most depth connectives over the pool."""
+    kind = rng.choice("vnaoi") if depth else "v"
+    if kind == "v":
+        return Var(rng.choice(pool))
+    if kind == "n":
+        return Not(random_formula(rng, depth - 1, pool))
+    return {"a": And, "o": Or, "i": Implies}[kind](
+        random_formula(rng, depth - 1, pool), random_formula(rng, depth - 1, pool)
+    )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import oracle_eval, oracle_satisfiable
+from oracles import oracle_eval, oracle_satisfiable, random_formula
 from paracon import (
     And,
     FormulaSet,
@@ -72,21 +72,10 @@ def test_is_contradiction():
     assert is_contradiction(Not(Implies(P, P))) is True
 
 
-def _rand(rng, depth=4, pool=("p", "q", "r")):
-    kind = rng.choice("vnaoi") if depth else "v"
-    if kind == "v":
-        return Var(rng.choice(pool))
-    if kind == "n":
-        return Not(_rand(rng, depth - 1, pool))
-    return {"a": And, "o": Or, "i": Implies}[kind](
-        _rand(rng, depth - 1, pool), _rand(rng, depth - 1, pool)
-    )
-
-
 def test_satisfiable_agrees_with_naive_oracle():
     rng = random.Random(31)
     for _ in range(600):
-        premises = [_rand(rng) for _ in range(rng.randint(0, 4))]
+        premises = [random_formula(rng) for _ in range(rng.randint(0, 4))]
         assert is_satisfiable(premises) == oracle_satisfiable(premises)
 
 
@@ -143,6 +132,42 @@ def test_search_has_no_limit_on_the_number_of_variables():
     assert not entails(atoms, Not(atoms[0]))
 
 
+@pytest.mark.parametrize("satisfiable", [True, False])
+def test_search_checks_only_the_formulas_mentioning_the_name_set(
+    satisfiable, monkeypatch
+):
+    # Each node re-checks the formulas over the name it just set, so n
+    # one-atom premises cost O(n) evaluations, not one per premise per node.
+    import paracon.classical
+
+    n = 1100
+    atoms = [Var(f"v{i}") for i in range(n)]
+    premises = atoms if satisfiable else [*atoms, Not(atoms[-1])]
+    calls = []
+    evaluate_partial = paracon.classical._evaluate_partial
+    monkeypatch.setattr(
+        paracon.classical,
+        "_evaluate_partial",
+        lambda f, valuation: calls.append(f) or evaluate_partial(f, valuation),
+    )
+    assert is_satisfiable(premises) is satisfiable
+    assert len(calls) <= 4 * n
+
+
+def test_search_agrees_with_the_table_on_padded_sets():
+    # Sixteen tautologies over fresh names push each set past the table, so
+    # the search decides it; the unpadded set takes the table route.
+    pool = tuple(f"x{i:02}" for i in range(12))
+    padding = [Or(Var(f"z{i:02}"), Not(Var(f"z{i:02}"))) for i in range(16)]
+    rng = random.Random(1729)
+    answers = []
+    for _ in range(300):
+        premises = [random_formula(rng, 3, pool) for _ in range(rng.randint(1, 8))]
+        answers.append(is_satisfiable(premises))
+        assert is_satisfiable([*padding, *premises]) == answers[-1], premises
+    assert True in answers and False in answers
+
+
 @given(st.lists(formula_strategy, max_size=4))
 def test_satisfiable_matches_oracle_property(premises):
     assert is_satisfiable(premises) == oracle_satisfiable(premises)
@@ -166,9 +191,9 @@ def test_transitivity_random_instances():
     rng = random.Random(77)
     checked = 0
     for _ in range(400):
-        premises = [_rand(rng) for _ in range(rng.randint(0, 3))]
-        middle = [_rand(rng) for _ in range(rng.randint(1, 3))]
-        conclusion = _rand(rng)
+        premises = [random_formula(rng) for _ in range(rng.randint(0, 3))]
+        middle = [random_formula(rng) for _ in range(rng.randint(1, 3))]
+        conclusion = random_formula(rng)
         if all(entails(premises, b) for b in middle) and entails(middle, conclusion):
             assert entails(premises, conclusion)
             checked += 1
@@ -209,7 +234,7 @@ def test_contradiction_matches_literal_definition_exhaustive():
 def test_contradiction_matches_literal_definition_sampled():
     rng = random.Random(13)
     for _ in range(1000):
-        f = _rand(rng, depth=4)
+        f = random_formula(rng, depth=4)
         assert is_contradiction(f) == entails([f], FALSUM)
 
 
@@ -251,7 +276,7 @@ def test_classify_requires_candidates():
 def test_classify_never_paraconsistent_classically():
     rng = random.Random(41)
     for _ in range(150):
-        premises = FormulaSet(_rand(rng, 3) for _ in range(rng.randint(1, 4)))
+        premises = FormulaSet(random_formula(rng, 3) for _ in range(rng.randint(1, 4)))
         candidates = build_universe(premises, ("subformulas", "negations"))
         assert classify(premises, candidates).paraconsistent is False
 

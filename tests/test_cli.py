@@ -280,12 +280,12 @@ def test_structure_functor_round_trip(structure_file, tmp_path, capsys):
     code, out, _ = run(capsys, "structure", "functor", structure_file, "-o", str(out_path))
     assert code == 0
     written = load_structure(out_path)
-    original = loads_structure(open(structure_file, encoding="utf-8").read())
+    original = loads_structure(Path(structure_file).read_text(encoding="utf-8"))
     # CnP({a, b}) covers the domain via the consistent singletons.
     assert written.table[3] == 0b11
     assert written.domain == original.domain
     # saved file is canonical: loading and re-dumping is byte-identical
-    assert dumps_structure(written) == open(out_path, encoding="utf-8").read()
+    assert dumps_structure(written) == out_path.read_text(encoding="utf-8")
 
 
 def test_structure_functor_refuses_overwriting_input(structure_file, capsys):

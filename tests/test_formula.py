@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import oracle_universe
+from oracles import oracle_universe, random_formula
 from paracon import (
     And,
     CapExceededError,
@@ -154,21 +154,14 @@ def test_render_inserts_needed_parens_only():
     assert render(And(P, And(Q, R))) == "p & (q & r)"
 
 
-def _random_formula(rng, depth):
-    kind = rng.choice("vnaoi") if depth else "v"
-    if kind == "v":
-        return Var(rng.choice(["p", "q", "r", "x_1", "Long_name9"]))
-    if kind == "n":
-        return Not(_random_formula(rng, depth - 1))
-    left = _random_formula(rng, depth - 1)
-    right = _random_formula(rng, depth - 1)
-    return {"a": And, "o": Or, "i": Implies}[kind](left, right)
+# Names of every shape the tokenizer accepts.
+NAME_POOL = ("p", "q", "r", "x_1", "Long_name9")
 
 
 def test_round_trip_seeded_fuzz():
     rng = random.Random(99)
     for _ in range(2000):
-        f = _random_formula(rng, rng.randint(0, 6))
+        f = random_formula(rng, rng.randint(0, 6), NAME_POOL)
         assert parse(render(f)) == f
 
 
@@ -306,7 +299,10 @@ def test_universe_closure_postconditions():
     # negation/conjunction additions only ever stack on closed members.
     rng = random.Random(5)
     for _ in range(25):
-        seed = [_random_formula(rng, rng.randint(0, 3)) for _ in range(rng.randint(1, 4))]
+        seed = [
+            random_formula(rng, rng.randint(0, 3), NAME_POOL)
+            for _ in range(rng.randint(1, 4))
+        ]
         u = build_universe(seed, ("subformulas", "negations", "conjunctions", "with_falsum"))
         members = set(u.items)
         assert set(seed) <= members
@@ -330,7 +326,10 @@ def test_universe_closure_postconditions():
 def test_universe_idempotent_for_stable_flags(flags):
     rng = random.Random(17)
     for _ in range(20):
-        seed = [_random_formula(rng, rng.randint(0, 3)) for _ in range(rng.randint(1, 4))]
+        seed = [
+            random_formula(rng, rng.randint(0, 3), NAME_POOL)
+            for _ in range(rng.randint(1, 4))
+        ]
         once = build_universe(seed, flags)
         twice = build_universe(once.items, flags)
         assert set(twice.items) == set(once.items)
@@ -380,5 +379,8 @@ def test_universe_checks_types_then_emptiness_then_flags():
 def test_universe_matches_the_fixpoint_closure(flags):
     rng = random.Random(f"universe {flags}")
     for _ in range(200):
-        seed = [_random_formula(rng, rng.randint(0, 3)) for _ in range(rng.randint(1, 3))]
+        seed = [
+            random_formula(rng, rng.randint(0, 3), NAME_POOL)
+            for _ in range(rng.randint(1, 3))
+        ]
         assert build_universe(seed, flags).items == oracle_universe(seed, flags)

@@ -18,6 +18,7 @@ from oracles import (
     oracle_sweep_table,
     oracle_transform_table,
     random_closure_structure,
+    random_formula,
     random_structure,
 )
 from paracon import (
@@ -300,7 +301,7 @@ def test_mcs_empty_only_when_all_members_unsatisfiable():
 def test_mcs_matches_oracle_order():
     rng = random.Random(2)
     for _ in range(80):
-        items = tuple(_rand(rng, 3) for _ in range(rng.randint(0, 6)))
+        items = tuple(random_formula(rng, 3) for _ in range(rng.randint(0, 6)))
         premises = FormulaSet(items)
         got = maximal_consistent_subsets(premises)
         want_masks = oracle_mcs_masks(premises.items)
@@ -419,17 +420,6 @@ def test_mcs_cap():
         maximal_consistent_subsets(premises)
 
 
-def _rand(rng, depth=4, pool=("p", "q", "r")):
-    kind = rng.choice("vnaoi") if depth else "v"
-    if kind == "v":
-        return Var(rng.choice(pool))
-    if kind == "n":
-        return Not(_rand(rng, depth - 1, pool))
-    return {"a": And, "o": Or, "i": Implies}[kind](
-        _rand(rng, depth - 1, pool), _rand(rng, depth - 1, pool)
-    )
-
-
 # -- paraclassical entailment ------------------------------------------------------
 
 
@@ -448,8 +438,8 @@ def test_para_entailment_named_instances():
 def test_para_witness_replays():
     rng = random.Random(55)
     for _ in range(200):
-        premises = FormulaSet(_rand(rng) for _ in range(rng.randint(0, 5)))
-        conclusion = _rand(rng)
+        premises = FormulaSet(random_formula(rng) for _ in range(rng.randint(0, 5)))
+        conclusion = random_formula(rng)
         witness = para_entails(premises, conclusion)
         if witness is None:
             continue
@@ -463,8 +453,8 @@ def test_para_agrees_with_literal_subset_scan():
     rng = random.Random(70)
     agreements = 0
     for _ in range(250):
-        premises = FormulaSet(_rand(rng) for _ in range(rng.randint(0, 5)))
-        conclusion = _rand(rng)
+        premises = FormulaSet(random_formula(rng) for _ in range(rng.randint(0, 5)))
+        conclusion = random_formula(rng)
         got = para_entails(premises, conclusion) is not None
         assert got == oracle_para_entails(premises, conclusion)
         agreements += 1
@@ -474,10 +464,10 @@ def test_para_agrees_with_literal_subset_scan():
 def test_para_entailment_monotone():
     rng = random.Random(81)
     for _ in range(150):
-        bigger = FormulaSet(_rand(rng) for _ in range(rng.randint(1, 5)))
+        bigger = FormulaSet(random_formula(rng) for _ in range(rng.randint(1, 5)))
         keep = sorted(rng.sample(range(len(bigger)), rng.randint(0, len(bigger))))
         smaller = FormulaSet(bigger.items[i] for i in keep)
-        conclusion = _rand(rng)
+        conclusion = random_formula(rng)
         if para_entails(smaller, conclusion) is not None:
             assert para_entails(bigger, conclusion) is not None
 
@@ -486,10 +476,10 @@ def test_classical_and_para_coincide_on_satisfiable_sets():
     rng = random.Random(90)
     checked = 0
     for _ in range(300):
-        premises = FormulaSet(_rand(rng) for _ in range(rng.randint(0, 4)))
+        premises = FormulaSet(random_formula(rng) for _ in range(rng.randint(0, 4)))
         if not is_satisfiable(premises):
             continue
-        conclusion = _rand(rng)
+        conclusion = random_formula(rng)
         assert entails(premises, conclusion) == (
             para_entails(premises, conclusion) is not None
         )
@@ -503,7 +493,7 @@ def test_theorems_survive_any_premises():
     for theorem in theorems:
         assert is_theorem(theorem)
         for _ in range(30):
-            premises = FormulaSet(_rand(rng) for _ in range(rng.randint(0, 5)))
+            premises = FormulaSet(random_formula(rng) for _ in range(rng.randint(0, 5)))
             assert para_entails(premises, theorem) is not None
 
 
@@ -526,8 +516,8 @@ def _order_sensitive_cases(seed, count):
     # mention s, a variable no premise has.
     rng = random.Random(seed)
     for _ in range(count):
-        premises = FormulaSet(_rand(rng, 2) for _ in range(rng.randint(0, 6)))
-        yield premises, _rand(rng, 2, ("p", "q", "r", "s"))
+        premises = FormulaSet(random_formula(rng, 2) for _ in range(rng.randint(0, 6)))
+        yield premises, random_formula(rng, 2, ("p", "q", "r", "s"))
 
 
 def test_para_witness_is_the_first_entailing_mcs():
@@ -680,14 +670,14 @@ def test_classification_matches_its_definition(para):
     widened = 0
     for _ in range(150):
         premises = FormulaSet(
-            _rand(rng, 2, ("p", "q")) for _ in range(rng.randint(0, 4))
+            random_formula(rng, 2, ("p", "q")) for _ in range(rng.randint(0, 4))
         )
         flags = [
             f for f in ("subformulas", "negations", "with_falsum") if rng.random() < 0.5
         ]
         seed = [*premises] if len(premises) else [P]
         if rng.random() < 0.5:  # a candidate the premises' variables do not cover
-            seed.append(_rand(rng, 1, ("q", "s")))
+            seed.append(random_formula(rng, 1, ("q", "s")))
         candidates = build_universe(seed, flags)
         unmentioned = set().union(*map(variables, candidates)) - set().union(
             set(), *map(variables, premises)
@@ -712,7 +702,7 @@ def test_no_premise_set_is_para_inconsistent():
     # always finds an underivable formula.
     rng = random.Random(112)
     for _ in range(60):
-        premises = FormulaSet(_rand(rng) for _ in range(rng.randint(0, 5)))
+        premises = FormulaSet(random_formula(rng) for _ in range(rng.randint(0, 5)))
         seed = premises if len(premises) else FormulaSet([P])
         candidates = build_universe(seed, ("with_falsum",))
         assert para_classify(premises, candidates).consistent is True
