@@ -83,13 +83,18 @@ def truth_table(names: Sequence[str]) -> tuple[int, Callable[[Formula], int]]:
     return full, lambda f: _models(f, pattern, full)
 
 
+def _names(formulas: Iterable[Formula]) -> list[str]:
+    """The sorted names of the variables occurring in formulas."""
+    return sorted(frozenset().union(*map(variables, formulas)))
+
+
 def subset_meets(formulas: Sequence[Formula]) -> tuple[Optional[list], Callable]:
     """The table's variables, and meet(mask): the rows where the chosen formulas hold.
 
     Bit i of a mask chooses formulas[i].  Above TABLE_VARIABLES the variables
     are None and meet(mask) is whether the chosen set is satisfiable.
     """
-    names = sorted({v for f in formulas for v in variables(f)})
+    names = _names(formulas)
     if len(names) > TABLE_VARIABLES:
         return None, lambda mask: is_satisfiable(
             f for i, f in enumerate(formulas) if mask >> i & 1
@@ -129,7 +134,7 @@ def holding_rows(names: Sequence[str], f: Formula) -> Optional[int]:
 
 def row_signatures(formulas: Sequence[Formula]) -> set[int]:
     """Each row's signature: bit i is set iff formulas[i] holds on the row."""
-    names = sorted({v for f in formulas for v in variables(f)})
+    names = _names(formulas)
     if len(names) > TABLE_VARIABLES:
         raise CapExceededError(
             f"universe mentions {len(names)} variables, above the truth-table "
@@ -187,7 +192,7 @@ def _evaluate_partial(f: Formula, valuation: dict[str, bool]) -> Optional[bool]:
 def is_satisfiable(premises: Iterable[Formula]) -> bool:
     """True iff some valuation satisfies every premise (empty set: True)."""
     formulas = list(premises)
-    names = sorted({v for f in formulas for v in variables(f)})
+    names = _names(formulas)
     if len(names) > TABLE_VARIABLES:
         return _search(formulas, names)
     meet, models = truth_table(names)
@@ -259,7 +264,7 @@ def classify(
     paraconsistent: consistent and contradictory (never both, classically).
     """
     premise_list = list(premises)
-    names = sorted({v for f in [*premise_list, *candidates] for v in variables(f)})
+    names = _names([*premise_list, *candidates])
     if len(names) > TABLE_VARIABLES:
         return classify_by(
             candidates,

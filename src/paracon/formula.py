@@ -9,7 +9,11 @@ Grammar (ASCII surface syntax, Unicode connectives accepted as input aliases):
 
 Precedence from tightest to loosest: ~  &  |  ->.  Identifiers match
 ``[A-Za-z_][A-Za-z0-9_]*``.  Formulas are immutable and compared
-structurally; no normalization of any kind is performed.
+structurally; no normalization of any kind is performed.  Each node
+computes its hash and its variable set once, when it is built, from its
+children's: hashing takes constant time at any depth, and ``variables``
+returns the stored frozenset (a node over more than 16 names keeps none,
+so memory stays linear, and ``variables`` unions the sets kept below it).
 """
 
 from __future__ import annotations
@@ -23,42 +27,161 @@ from .errors import CapExceededError, ParseError
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
+_KEPT_VARIABLES = 16  # a node keeps its variable set up to this many names
+
+
 class Formula:
-    """Base class for formula nodes (Var, Not, And, Or, Implies)."""
+    """Base class for formula nodes (Var, Not, And, Or, Implies).
 
-    __slots__ = ()
+    Every node stores its hash and, up to _KEPT_VARIABLES names, its variable
+    set, both computed once at construction from its children's.  A node is
+    immutable: its __init__ sets the slots through their member descriptors.
+    """
+
+    __slots__ = ("_hash", "_vars")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
+def _vars_of(left: Formula, right: Formula) -> frozenset[str] | None:
+    """The variable set of a node over left and right, or None above the cap."""
+    a, b = left._vars, right._vars
+    if a is None or b is None:
+        return None
+    if b <= a:  # shared, not copied: a chain over few names keeps one set
+        return a
+    if a <= b:
+        return b
+    union = a | b
+    return union if len(union) <= _KEPT_VARIABLES else None
+
+
+def _not_a_formula(*children) -> TypeError:
+    bad = next(c for c in children if not hasattr(c, "_hash"))
+    return TypeError(f"not a Formula: {bad!r}")
+
+
 class Var(Formula):
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
 
-    def __post_init__(self):
-        if not (isinstance(self.name, str) and _IDENT_RE.fullmatch(self.name)):
-            raise ValueError(f"invalid variable name: {self.name!r}")
+    def __init__(self, name: str):
+        if not (isinstance(name, str) and _IDENT_RE.fullmatch(name)):
+            raise ValueError(f"invalid variable name: {name!r}")
+        _set_name(self, name)
+        _set_hash(self, hash(name))
+        _set_vars(self, frozenset((name,)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not Var:
+            return NotImplemented
+        return self._hash == other._hash and self.name == other.name
+
+    __hash__ = Formula.__hash__
+
+    def __reduce__(self):
+        return Var, (self.name,)
+
+    def __repr__(self) -> str:
+        return f"Var(name={self.name!r})"
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    child: Formula
+    __slots__ = ("child",)
+    __match_args__ = ("child",)
+
+    def __init__(self, child: Formula):
+        try:
+            h = hash((1, child._hash))
+        except AttributeError:
+            raise _not_a_formula(child) from None
+        _set_child(self, child)
+        _set_hash(self, h)
+        _set_vars(self, child._vars)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not Not:
+            return NotImplemented
+        return self._hash == other._hash and self.child == other.child
+
+    __hash__ = Formula.__hash__
+
+    def __reduce__(self):
+        return Not, (self.child,)
+
+    def __repr__(self) -> str:
+        return f"Not(child={self.child!r})"
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    """The fields and behaviour And, Or and Implies share; _tag tells them apart."""
+
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        try:
+            h = hash((self._tag, left._hash, right._hash))
+        except AttributeError:
+            raise _not_a_formula(left, right) from None
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_hash(self, h)
+        _set_vars(self, _vars_of(left, right))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.left == other.left
+            and self.right == other.right
+        )
+
+    __hash__ = Formula.__hash__
+
+    def __reduce__(self):
+        return type(self), (self.left, self.right)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(left={self.left!r}, right={self.right!r})"
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
+    _tag = 2
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
+    _tag = 3
+
+
+class Implies(_Binary):
+    __slots__ = ()
+    _tag = 4
+
+
+# Slot setters that bypass the raising __setattr__.
+_set_hash = Formula._hash.__set__
+_set_vars = Formula._vars.__set__
+_set_name = Var.name.__set__
+_set_child = Not.child.__set__
+_set_left = _Binary.left.__set__
+_set_right = _Binary.right.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -198,25 +321,28 @@ def render(f: Formula) -> str:
     return _render(f)[0]
 
 
-def variables(f: Formula) -> set[str]:
-    """The set of variable names occurring in f."""
-    # An explicit stack and exact-type dispatch: no recursion limit, and
-    # several times faster than a recursive `match`.
-    names = set()
+def variables(f: Formula) -> frozenset[str]:
+    """The variable names occurring in f: the set the node stored at construction."""
+    try:
+        names = f._vars
+    except AttributeError:
+        raise TypeError(f"not a Formula: {f!r}") from None
+    if names is not None:
+        return names
+    # f has more than _KEPT_VARIABLES names: union the sets kept below it,
+    # walking an explicit stack (no recursion limit).
+    found: set[str] = set()
     stack = [f]
     while stack:
         node = stack.pop()
-        kind = type(node)
-        if kind is Var:
-            names.add(node.name)
-        elif kind is Not:
+        if node._vars is not None:
+            found |= node._vars
+        elif type(node) is Not:
             stack.append(node.child)
-        elif kind is And or kind is Or or kind is Implies:
+        else:
             stack.append(node.left)
             stack.append(node.right)
-        else:
-            raise TypeError(f"not a Formula: {node!r}")
-    return names
+    return frozenset(found)
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
@@ -249,12 +375,11 @@ class FormulaSet:
         if isinstance(formulas, FormulaSet):  # already distinct: no dedupe
             object.__setattr__(self, "items", formulas.items)
             return
-        seen: list[Formula] = []
+        seen: dict[Formula, None] = {}  # insertion-ordered, with hashed membership
         for f in formulas:
             if not isinstance(f, Formula):
                 raise TypeError(f"not a Formula: {f!r}")
-            if f not in seen:
-                seen.append(f)
+            seen[f] = None
         object.__setattr__(self, "items", tuple(seen))
 
     @classmethod

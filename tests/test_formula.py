@@ -1,11 +1,15 @@
+import copy
+import pickle
 import random
 import time
+import tracemalloc
+from functools import reduce
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import oracle_universe, random_formula
+from oracles import oracle_universe, oracle_variables, random_formula
 from paracon import (
     And,
     CapExceededError,
@@ -136,6 +140,72 @@ def test_var_rejects_bad_names():
         Var("p q")
 
 
+# -- nodes ------------------------------------------------------------------
+
+ONE_OF_EACH = [P, Not(P), And(P, Q), Or(P, Not(Q)), Implies(And(P, Q), R)]
+
+
+def test_node_repr_is_unchanged():
+    assert [repr(f) for f in ONE_OF_EACH] == [
+        "Var(name='p')",
+        "Not(child=Var(name='p'))",
+        "And(left=Var(name='p'), right=Var(name='q'))",
+        "Or(left=Var(name='p'), right=Not(child=Var(name='q')))",
+        "Implies(left=And(left=Var(name='p'), right=Var(name='q')), right=Var(name='r'))",
+    ]
+
+
+@pytest.mark.parametrize("f", ONE_OF_EACH, ids=lambda f: type(f).__name__)
+def test_nodes_are_immutable(f):
+    before = repr(f), hash(f), variables(f)
+    for field in (*type(f).__match_args__, "_hash", "_vars", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(f, field, Q)
+        with pytest.raises(AttributeError):
+            delattr(f, field)
+    assert (repr(f), hash(f), variables(f)) == before
+
+
+def test_nodes_survive_pickle_and_copy():
+    rng = random.Random("pickle")
+    for f in ONE_OF_EACH + [random_formula(rng, 6, "pqrstuvwxyz") for _ in range(50)]:
+        for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+            assert twin == f and hash(twin) == hash(f)
+            assert type(twin) is type(f) and variables(twin) == variables(f)
+
+
+def test_nodes_reject_non_formula_children_when_built():
+    for build, bad in [
+        (lambda: And(P, "q"), "'q'"),
+        (lambda: Or("p", Q), "'p'"),
+        (lambda: Implies(P, None), "None"),
+        (lambda: Not(3), "3"),
+    ]:
+        with pytest.raises(TypeError, match=f"^not a Formula: {bad}$"):
+            build()
+
+
+def test_equal_nodes_hash_equal_and_others_compare_unequal():
+    rng = random.Random("equality")
+    for _ in range(300):
+        f, g = random_formula(rng, 3), random_formula(rng, 3)
+        twin = parse(render(f))
+        assert twin == f and hash(twin) == hash(f)
+        assert (f == g) == (render(f) == render(g))
+    assert P != "p" and And(P, Q) != Or(P, Q) and And(P, Q) != And(Q, P)
+
+
+def test_hash_has_no_recursion_limit():
+    def chain():
+        f = P
+        for _ in range(100_000):
+            f = And(f, P)
+        return f
+
+    f = chain()
+    assert hash(f) == hash(chain()) and f in {f}
+
+
 # -- rendering --------------------------------------------------------------
 
 
@@ -226,6 +296,36 @@ def test_variables():
     assert variables(And(P, Not(P))) == {"p"}
     assert variables(Implies(P, Or(Q, R))) == {"p", "q", "r"}
     assert variables(P) == {"p"}
+    assert isinstance(variables(Or(P, Q)), frozenset)
+
+
+def test_variables_on_both_sides_of_the_kept_set_cap():
+    # Nodes keep their variable set up to 16 names; above that, variables
+    # unions the sets kept below.
+    rng = random.Random("variables")
+    pool = [f"x{i}" for i in range(40)]
+    for _ in range(200):
+        f = random_formula(rng, rng.randint(3, 8), pool[: rng.randint(2, 40)])
+        assert variables(f) == oracle_variables(f)
+    for n in (15, 16, 17, 18):
+        names = [Var(f"v{i}") for i in range(n)]
+        assert variables(reduce(And, names)) == {f"v{i}" for i in range(n)}
+        assert variables(Not(reduce(Or, reversed(names)))) == {f"v{i}" for i in range(n)}
+
+
+def test_variables_of_a_wide_chain_in_linear_memory():
+    names = [Var(f"v{i}") for i in range(20_000)]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        f = reduce(And, names)
+        found = variables(f)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == {f"v{i}" for i in range(20_000)}
+    assert elapsed < 2 and peak < 20_000_000, (elapsed, peak)
 
 
 def test_subformulas_preorder():

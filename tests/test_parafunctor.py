@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -418,6 +419,14 @@ def test_mcs_cap():
     premises = [Var(f"v{i}") for i in range(21)]
     with pytest.raises(CapExceededError):
         maximal_consistent_subsets(premises)
+
+
+def test_para_entails_reaches_the_cap_without_a_quadratic_dedupe():
+    premises = [Var(f"v{i}") for i in range(5000)]
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="5000 formulas"):
+        para_entails(premises, P)
+    assert time.perf_counter() - start < 0.5
 
 
 # -- paraclassical entailment ------------------------------------------------------
