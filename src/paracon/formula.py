@@ -322,7 +322,10 @@ def render(f: Formula) -> str:
 
 
 def variables(f: Formula) -> frozenset[str]:
-    """The variable names occurring in f: the set the node stored at construction."""
+    """The variable names occurring in f, as a frozenset.
+
+    Up to 16 names this is the set the node stored when it was built.
+    """
     try:
         names = f._vars
     except AttributeError:
