@@ -6,9 +6,10 @@ bitmap over the whole truth table, computed bit-parallel with &, | and
 complement over per-variable row patterns; a premise set is satisfiable iff
 its bitmaps intersect.  Beyond that a backtracking valuation search decides
 satisfiability.  Consequence sets are never materialized; everything is a
-decision procedure over finite premise sets.  The table's row order and cap
-are private to this module: others ask for subset meets, holding rows and
-row signatures.
+decision procedure over finite premise sets.  Every question goes through
+one compiled premise set, which holds the table route and the search route;
+the table's row order and cap are private to this module, and others ask
+the compiled set for meets and supports, or ask for row signatures.
 """
 
 from __future__ import annotations
@@ -72,78 +73,94 @@ def _models(f: Formula, pattern: Mapping[str, int], full: int) -> int:
     raise TypeError(f"not a Formula: {f!r}")
 
 
-def truth_table(names: Sequence[str]) -> tuple[int, Callable[[Formula], int]]:
-    """The all-rows mask and a function giving a formula's satisfying-rows bitmap.
-
-    The table has one row per valuation of names (which must cover the
-    formulas evaluated), with names[0] as the most significant row bit.
-    """
-    full, patterns = _row_patterns(len(names))
-    pattern = dict(zip(names, patterns))
-    return full, lambda f: _models(f, pattern, full)
-
-
 def _names(formulas: Iterable[Formula]) -> list[str]:
     """The sorted names of the variables occurring in formulas."""
     return sorted(frozenset().union(*map(variables, formulas)))
 
 
-def subset_meets(formulas: Sequence[Formula]) -> tuple[Optional[list], Callable]:
-    """The table's variables, and meet(mask): the rows where the chosen formulas hold.
+class _PremiseSet:
+    """A premise tuple compiled once: its names and, within the cap, its table.
 
-    Bit i of a mask chooses formulas[i].  Above TABLE_VARIABLES the variables
-    are None and meet(mask) is whether the chosen set is satisfiable.
+    Bit i of a mask chooses formulas[i].  Up to TABLE_VARIABLES names it
+    holds the all-rows mask, each name's row pattern (names[0] is the most
+    significant row bit) and each member's bitmap, computed when a meet first
+    reaches it, so a meet that empties early evaluates no more members.
+    Above the cap `pattern` is None: meet runs the backtracking search, and
+    first_support scans with classical entailment.
     """
-    names = _names(formulas)
-    if len(names) > TABLE_VARIABLES:
-        return None, lambda mask: is_satisfiable(
-            f for i, f in enumerate(formulas) if mask >> i & 1
-        )
-    full, models = truth_table(names)
-    bitmaps = [models(f) for f in formulas]
 
-    def meet(mask: int) -> int:
-        bits = full
+    __slots__ = ("formulas", "names", "full", "pattern", "bitmaps")
+
+    def __init__(self, formulas: Sequence[Formula], names: Optional[list] = None):
+        self.formulas = formulas
+        self.names = _names(formulas) if names is None else names
+        self.pattern = None
+        if len(self.names) <= TABLE_VARIABLES:
+            self.full, patterns = _row_patterns(len(self.names))
+            self.pattern = dict(zip(self.names, patterns))
+            self.bitmaps = [None] * len(formulas)
+
+    def rows(self, f: Formula) -> int:
+        """The rows where f, a formula over the names, holds."""
+        return _models(f, self.pattern, self.full)
+
+    def chosen(self, mask: int) -> list[Formula]:
+        return [f for i, f in enumerate(self.formulas) if mask >> i & 1]
+
+    def meet(self, mask: int) -> int:
+        """The rows where the chosen members hold; above the cap, whether any do."""
+        if self.pattern is None:
+            return _search(self.chosen(mask), self.names)
+        bits, bitmaps = self.full, self.bitmaps
         while mask and bits:
             low = mask & -mask
-            bits &= bitmaps[low.bit_length() - 1]
+            i = low.bit_length() - 1
+            if bitmaps[i] is None:
+                bitmaps[i] = self.rows(self.formulas[i])
+            bits &= bitmaps[i]
             mask ^= low
         return bits
 
-    return names, meet
+    def holding_rows(self, f: Formula) -> Optional[int]:
+        """The rows where f holds for every value of its other variables.
 
+        None when the names and f's other variables exceed TABLE_VARIABLES.
+        """
+        if self.pattern is None:
+            return None
+        extra = sorted(variables(f).difference(self.names))
+        # Evaluate f over the table widened by its own variables (the top row
+        # bits), then AND each widening's upper half into its lower half.
+        wide = _PremiseSet((), [*extra, *self.names]) if extra else self
+        if wide.pattern is None:
+            return None
+        holds, width = wide.rows(f), wide.full.bit_length()
+        while width > self.full.bit_length():
+            width >>= 1
+            holds &= holds >> width
+        return holds
 
-def holding_rows(names: Sequence[str], f: Formula) -> Optional[int]:
-    """The rows over names where f holds for every value of its other variables.
-
-    None when names and f's other variables exceed TABLE_VARIABLES.
-    """
-    extra = sorted(variables(f).difference(names))
-    if len(names) + len(extra) > TABLE_VARIABLES:
-        return None
-    # Evaluate f over the table widened by its own variables (the top row
-    # bits), then AND each widening's upper half into its lower half.
-    full, models = truth_table([*extra, *names])
-    holds = models(f)
-    width, rows = full.bit_length(), 1 << len(names)
-    while width > rows:
-        width >>= 1
-        holds &= holds >> width
-    return holds
+    def first_support(self, supports: Iterable[tuple], f: Formula) -> Optional[int]:
+        """The first mask of (mask, rows) pairs whose members entail f, or None."""
+        holds = self.holding_rows(f)
+        if holds is None:
+            return next((m for m, _ in supports if entails(self.chosen(m), f)), None)
+        # M |- f iff no row where M's members hold falsifies f.
+        falsified = ~holds
+        return next((m for m, bits in supports if not bits & falsified), None)
 
 
 def row_signatures(formulas: Sequence[Formula]) -> set[int]:
     """Each row's signature: bit i is set iff formulas[i] holds on the row."""
-    names = _names(formulas)
-    if len(names) > TABLE_VARIABLES:
+    table = _PremiseSet(formulas)
+    if table.pattern is None:
         raise CapExceededError(
-            f"universe mentions {len(names)} variables, above the truth-table "
+            f"universe mentions {len(table.names)} variables, above the truth-table "
             f"cap of {TABLE_VARIABLES}"
         )
     # Bitmaps are written high row first; the last formula is the top bit.
-    all_rows, models = truth_table(names)
-    width = all_rows.bit_length()
-    columns = [format(models(f), f"0{width}b") for f in reversed(formulas)]
+    width = table.full.bit_length()
+    columns = [format(table.rows(f), f"0{width}b") for f in reversed(formulas)]
     return {int("".join(bits), 2) for bits in zip(*columns)}
 
 
@@ -192,15 +209,7 @@ def _evaluate_partial(f: Formula, valuation: dict[str, bool]) -> Optional[bool]:
 def is_satisfiable(premises: Iterable[Formula]) -> bool:
     """True iff some valuation satisfies every premise (empty set: True)."""
     formulas = list(premises)
-    names = _names(formulas)
-    if len(names) > TABLE_VARIABLES:
-        return _search(formulas, names)
-    meet, models = truth_table(names)
-    for f in formulas:
-        meet &= models(f)
-        if not meet:
-            return False
-    return True
+    return bool(_PremiseSet(formulas).meet((1 << len(formulas)) - 1))
 
 
 def _search(formulas: list[Formula], names: list[str]) -> bool:
@@ -264,24 +273,24 @@ def classify(
     paraconsistent: consistent and contradictory (never both, classically).
     """
     premise_list = list(premises)
-    names = _names([*premise_list, *candidates])
-    if len(names) > TABLE_VARIABLES:
+    table = _PremiseSet([*premise_list, *candidates])
+    mask = (1 << len(premise_list)) - 1
+    meet = table.meet(mask)
+    if table.pattern is None:
+        supports = [(mask, meet)]
         return classify_by(
             candidates,
-            lambda: is_satisfiable(premise_list),
-            lambda a: entails(premise_list, a),
+            lambda: meet,
+            lambda a: table.first_support(supports, a) is not None,
             is_contradiction,
         )
     # One table for premises and candidates: A |- a iff no row of A's meet
     # falsifies a, and a is a contradiction iff no row satisfies it.
-    meet, models = truth_table(names)
-    for f in premise_list:
-        meet &= models(f)
     return classify_by(
         candidates,
         lambda: meet != 0,
-        lambda a: not meet & ~models(a),
-        lambda a: not models(a),
+        lambda a: not meet & ~table.rows(a),
+        lambda a: not table.rows(a),
     )
 
 

@@ -215,11 +215,15 @@ def _deeper(depth: int, position: int) -> int:
 
 
 class _Parser:
-    """Recursive descent; each method takes the nesting depth it starts at."""
+    """Recursive descent; each method takes the nesting depth it starts at.
+
+    Every occurrence of a name in one parse shares one Var.
+    """
 
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.pos = 0
+        self.vars: dict[str, Var] = {}
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -261,7 +265,10 @@ class _Parser:
                 raise ParseError("expected ')'", position)
             return inner
         if kind == "ident":
-            return Var(value)
+            var = self.vars.get(value)
+            if var is None:
+                var = self.vars[value] = Var(value)
+            return var
         if kind == "end":
             raise ParseError("unexpected end of input", position)
         raise ParseError(f"unexpected token {value!r}", position)

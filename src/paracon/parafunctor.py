@@ -13,25 +13,19 @@ monotone, so every consistent subset extends to a maximal one inside A and
 the scan is sound and complete.
 
 Each premise set is compiled once (and cached) to its MCSes in canonical
-order and one support test.  While the premises and f fit in the truth table
-of `classical`, M |- f is one AND: f holds on every row where M's members
-do.  Wider sets scan the MCSes with classical entailment.
+order, each with its rows, and the support test of `classical`'s compiled
+premise set.  While the premises and f fit in the truth table, M |- f is one
+AND: f holds on every row where M's members do.  Wider sets scan the MCSes
+with classical entailment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Optional
 
-from .classical import (
-    SetClassification,
-    classify_by,
-    entails,
-    holding_rows,
-    is_contradiction,
-    subset_meets,
-)
+from .classical import SetClassification, _PremiseSet, classify_by, is_contradiction
 from .errors import CapExceededError
 from .formula import Formula, FormulaSet
 from .structures import FiniteConsequenceStructure, sweep_table
@@ -86,29 +80,22 @@ def paraconsistentize_finite(
 @lru_cache(maxsize=256)
 def _compile(items: tuple[Formula, ...]) -> tuple[tuple[int, ...], Callable]:
     """The MCSes as masks, and first_support(f): the first entailing f, or None."""
-    names, meet = subset_meets(items)
+    premises = _PremiseSet(items)
     # Masks by descending cardinality, ties in ascending order (the sort is
     # stable under reverse); a mask is maximal iff satisfiable and not
     # contained in an earlier maximal one.
     found: list[int] = []
-    rows: list[int] = []
+    supports: list[tuple[int, int]] = []  # (mask, its rows) per MCS
     for mask in sorted(range(1 << len(items)), key=int.bit_count, reverse=True):
         if any(mask & big == mask for big in found):
             continue
-        bits = meet(mask)
+        bits = premises.meet(mask)
         if bits:
             found.append(mask)
-            rows.append(bits)
-
-    def first_support(f: Formula) -> Optional[int]:
-        holds = None if names is None else holding_rows(names, f)
-        if holds is None:
-            return next((m for m in found if entails(_subset(items, m), f)), None)
-        # M |- f iff no row of M (where exactly M's members hold) falsifies f.
-        falsified = ~holds
-        return next((m for m, r in zip(found, rows) if not r & falsified), None)
-
-    return tuple(found), first_support
+            supports.append((mask, bits))
+    # The cached test reads the MCS rows, not the members' bitmaps: free them.
+    premises.bitmaps = None
+    return tuple(found), partial(premises.first_support, supports)
 
 
 def _premise_items(premises: Iterable[Formula], max_size: int) -> tuple[Formula, ...]:

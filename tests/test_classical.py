@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -20,8 +21,10 @@ from paracon import (
     is_contradiction,
     is_satisfiable,
     is_theorem,
+    maximal_consistent_subsets,
+    para_entails,
 )
-from paracon.classical import TABLE_VARIABLES, truth_table
+from paracon.classical import TABLE_VARIABLES, _PremiseSet
 
 P, Q, R = Var("p"), Var("q"), Var("r")
 FALSUM = And(P, Not(P))
@@ -95,14 +98,20 @@ def test_truth_table_rows_follow_product_order():
     # names[0] is the most significant row bit, as in itertools.product
     names = ["a", "b", "c"]
     formulas = [Var("a"), Var("c"), Implies(Var("a"), Not(Var("b")))]
-    full, models = truth_table(names)
+    table = _PremiseSet(formulas)
+    assert table.names == names
     rows = [dict(zip(names, v)) for v in itertools.product((False, True), repeat=3)]
-    assert full == (1 << len(rows)) - 1
-    for f in formulas:
-        bits = models(f)
+    assert table.full == (1 << len(rows)) - 1
+    for i, f in enumerate(formulas):
+        bits = table.meet(1 << i)
+        assert bits == table.rows(f)
         assert [bits >> r & 1 == 1 for r in range(len(rows))] == [
             oracle_eval(f, env) for env in rows
         ]
+    # The meet of a mask holds exactly on the rows where its members all do.
+    assert [table.meet(0b101) >> r & 1 == 1 for r in range(len(rows))] == [
+        oracle_eval(formulas[0], env) and oracle_eval(formulas[2], env) for env in rows
+    ]
 
 
 def _implication_chain(width):
@@ -155,16 +164,29 @@ def test_search_checks_only_the_formulas_mentioning_the_name_set(
 
 
 def test_search_agrees_with_the_table_on_padded_sets():
-    # Sixteen tautologies over fresh names push each set past the table, so
-    # the search decides it; the unpadded set takes the table route.
+    # A tautology over sixteen fresh names pushes each set past the table, so
+    # the search route decides it; the unpadded set takes the table route.
     pool = tuple(f"x{i:02}" for i in range(12))
-    padding = [Or(Var(f"z{i:02}"), Not(Var(f"z{i:02}"))) for i in range(16)]
+    wide = reduce(And, [Var(f"z{i:02}") for i in range(16)])
+    pad = Or(wide, Not(wide))
     rng = random.Random(1729)
     answers = []
     for _ in range(300):
         premises = [random_formula(rng, 3, pool) for _ in range(rng.randint(1, 8))]
+        padded = [pad, *premises]
+        conclusion = random_formula(rng, 3, pool)
+        candidates = build_universe([conclusion], ("negations", "with_falsum"))
         answers.append(is_satisfiable(premises))
-        assert is_satisfiable([*padding, *premises]) == answers[-1], premises
+        assert is_satisfiable(padded) == answers[-1], premises
+        assert entails(padded, conclusion) == entails(premises, conclusion)
+        assert classify(padded, candidates) == classify(premises, candidates)
+        # The pad is in every MCS and keeps the canonical order.
+        mcses = maximal_consistent_subsets(premises)
+        assert maximal_consistent_subsets(padded) == [
+            FormulaSet([pad, *m]) for m in mcses
+        ]
+        got, want = para_entails(padded, conclusion), para_entails(premises, conclusion)
+        assert (got and got.support) == (want and FormulaSet([pad, *want.support]))
     assert True in answers and False in answers
 
 

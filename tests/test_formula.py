@@ -72,6 +72,14 @@ def test_parse_long_identifiers():
     assert parse("_x1 -> Foo_bar") == Implies(Var("_x1"), Var("Foo_bar"))
 
 
+def test_parse_shares_one_var_per_name():
+    f = parse("p & (q -> ~p)")
+    assert f == And(P, Implies(Q, Not(P)))
+    assert f.left is f.right.right.child
+    # Separate parses build their own nodes.
+    assert parse("p") is not parse("p")
+
+
 @pytest.mark.parametrize(
     "text,position",
     [

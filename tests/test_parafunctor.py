@@ -579,7 +579,7 @@ def test_para_entails_at_the_table_boundary(extra, monkeypatch):
     ]
     scans = []
     monkeypatch.setattr(
-        parafunctor, "entails", lambda A, f: scans.append(f) or entails(A, f)
+        "paracon.classical.entails", lambda A, f: scans.append(f) or entails(A, f)
     )
     witnesses = [para_entails(premises, f) for f in conclusions]
     assert [w and w.support.render() for w in witnesses] == ["{x00 -> x13, ~x00}", None]

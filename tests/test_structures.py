@@ -512,10 +512,10 @@ def test_restriction_size_cap():
 def test_restriction_checks_the_atom_cap_before_the_truth_table(monkeypatch):
     import paracon.classical
 
-    def unreachable(names):
-        raise AssertionError("truth_table called above the atom cap")
+    def unreachable(k):
+        raise AssertionError("truth table built above the atom cap")
 
-    monkeypatch.setattr(paracon.classical, "truth_table", unreachable)
+    monkeypatch.setattr(paracon.classical, "_row_patterns", unreachable)
     # 16 variables and their falsum: only the atom cap stops it.
     u = build_universe([Var(f"x{i:02d}") for i in range(16)], ("with_falsum",))
     assert len(u) == 17
