@@ -15,7 +15,7 @@ the compiled set for meets and supports, or ask for row signatures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import CapExceededError
@@ -73,11 +73,6 @@ def _models(f: Formula, pattern: Mapping[str, int], full: int) -> int:
     raise TypeError(f"not a Formula: {f!r}")
 
 
-def _names(formulas: Iterable[Formula]) -> list[str]:
-    """The sorted names of the variables occurring in formulas."""
-    return sorted(frozenset().union(*map(variables, formulas)))
-
-
 class _PremiseSet:
     """A premise tuple compiled once: its names and, within the cap, its table.
 
@@ -85,20 +80,20 @@ class _PremiseSet:
     holds the all-rows mask, each name's row pattern (names[0] is the most
     significant row bit) and each member's bitmap, computed when a meet first
     reaches it, so a meet that empties early evaluates no more members.
-    Above the cap `pattern` is None: meet runs the backtracking search, and
-    first_support scans with classical entailment.
+    Above the cap `pattern` is None: meet asks is_satisfiable of the chosen
+    members alone, and first_support scans with classical entailment.
     """
 
     __slots__ = ("formulas", "names", "full", "pattern", "bitmaps")
 
-    def __init__(self, formulas: Sequence[Formula], names: Optional[list] = None):
+    def __init__(self, formulas: Sequence[Formula]):
         self.formulas = formulas
-        self.names = _names(formulas) if names is None else names
+        self.names = sorted(frozenset().union(*map(variables, formulas)))
         self.pattern = None
+        self.bitmaps: dict[int, int] = {}
         if len(self.names) <= TABLE_VARIABLES:
             self.full, patterns = _row_patterns(len(self.names))
             self.pattern = dict(zip(self.names, patterns))
-            self.bitmaps = [None] * len(formulas)
 
     def rows(self, f: Formula) -> int:
         """The rows where f, a formula over the names, holds."""
@@ -110,14 +105,15 @@ class _PremiseSet:
     def meet(self, mask: int) -> int:
         """The rows where the chosen members hold; above the cap, whether any do."""
         if self.pattern is None:
-            return _search(self.chosen(mask), self.names)
+            return is_satisfiable(self.chosen(mask))
         bits, bitmaps = self.full, self.bitmaps
         while mask and bits:
             low = mask & -mask
             i = low.bit_length() - 1
-            if bitmaps[i] is None:
-                bitmaps[i] = self.rows(self.formulas[i])
-            bits &= bitmaps[i]
+            rows = bitmaps.get(i)
+            if rows is None:
+                rows = bitmaps[i] = self.rows(self.formulas[i])
+            bits &= rows
             mask ^= low
         return bits
 
@@ -129,25 +125,32 @@ class _PremiseSet:
         if self.pattern is None:
             return None
         extra = sorted(variables(f).difference(self.names))
+        names = [*extra, *self.names]
+        if len(names) > TABLE_VARIABLES:
+            return None
         # Evaluate f over the table widened by its own variables (the top row
         # bits), then AND each widening's upper half into its lower half.
-        wide = _PremiseSet((), [*extra, *self.names]) if extra else self
-        if wide.pattern is None:
-            return None
-        holds, width = wide.rows(f), wide.full.bit_length()
+        full, patterns = _row_patterns(len(names))
+        holds = _models(f, dict(zip(names, patterns)), full)
+        width = full.bit_length()
         while width > self.full.bit_length():
             width >>= 1
             holds &= holds >> width
         return holds
 
     def first_support(self, supports: Iterable[tuple], f: Formula) -> Optional[int]:
-        """The first mask of (mask, rows) pairs whose members entail f, or None."""
+        """The first mask of (mask, meet(mask)) pairs whose members entail f, or None."""
         holds = self.holding_rows(f)
         if holds is None:
             return next((m for m, _ in supports if entails(self.chosen(m), f)), None)
         # M |- f iff no row where M's members hold falsifies f.
         falsified = ~holds
         return next((m for m, bits in supports if not bits & falsified), None)
+
+    def support_test(self, supports: Sequence[tuple]) -> Callable:
+        """first_support over kept pairs, which hold the rows: drop the bitmaps."""
+        self.bitmaps = {}
+        return partial(self.first_support, supports)
 
 
 def row_signatures(formulas: Sequence[Formula]) -> set[int]:
@@ -208,8 +211,10 @@ def _evaluate_partial(f: Formula, valuation: dict[str, bool]) -> Optional[bool]:
 
 def is_satisfiable(premises: Iterable[Formula]) -> bool:
     """True iff some valuation satisfies every premise (empty set: True)."""
-    formulas = list(premises)
-    return bool(_PremiseSet(formulas).meet((1 << len(formulas)) - 1))
+    table = _PremiseSet(list(premises))
+    if table.pattern is None:
+        return _search(table.formulas, table.names)
+    return bool(table.meet((1 << len(table.formulas)) - 1))
 
 
 def _search(formulas: list[Formula], names: list[str]) -> bool:
@@ -277,11 +282,10 @@ def classify(
     mask = (1 << len(premise_list)) - 1
     meet = table.meet(mask)
     if table.pattern is None:
-        supports = [(mask, meet)]
         return classify_by(
             candidates,
             lambda: meet,
-            lambda a: table.first_support(supports, a) is not None,
+            lambda a: table.first_support([(mask, meet)], a) is not None,
             is_contradiction,
         )
     # One table for premises and candidates: A |- a iff no row of A's meet

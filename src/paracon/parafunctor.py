@@ -22,7 +22,7 @@ with classical entailment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .classical import SetClassification, _PremiseSet, classify_by, is_contradiction
@@ -93,9 +93,7 @@ def _compile(items: tuple[Formula, ...]) -> tuple[tuple[int, ...], Callable]:
         if bits:
             found.append(mask)
             supports.append((mask, bits))
-    # The cached test reads the MCS rows, not the members' bitmaps: free them.
-    premises.bitmaps = None
-    return tuple(found), partial(premises.first_support, supports)
+    return tuple(found), premises.support_test(supports)
 
 
 def _premise_items(premises: Iterable[Formula], max_size: int) -> tuple[Formula, ...]:

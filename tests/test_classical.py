@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from functools import reduce
 
 import pytest
@@ -24,7 +25,9 @@ from paracon import (
     maximal_consistent_subsets,
     para_entails,
 )
+from paracon import classical
 from paracon.classical import TABLE_VARIABLES, _PremiseSet
+from paracon.formula import variables
 
 P, Q, R = Var("p"), Var("q"), Var("r")
 FALSUM = And(P, Not(P))
@@ -164,30 +167,59 @@ def test_search_checks_only_the_formulas_mentioning_the_name_set(
 
 
 def test_search_agrees_with_the_table_on_padded_sets():
-    # A tautology over sixteen fresh names pushes each set past the table, so
-    # the search route decides it; the unpadded set takes the table route.
+    # Sixteen tautologies over fresh names push each set past the table, so
+    # the search decides it; the unpadded set takes the table route.  The MCS
+    # checks, capped at MCS_CAP premises, pad with one 16-name tautology.
     pool = tuple(f"x{i:02}" for i in range(12))
+    padding = [Or(Var(f"z{i:02}"), Not(Var(f"z{i:02}"))) for i in range(16)]
     wide = reduce(And, [Var(f"z{i:02}") for i in range(16)])
     pad = Or(wide, Not(wide))
-    rng = random.Random(1729)
+    rng, conclusions = random.Random(1729), random.Random(1730)
     answers = []
     for _ in range(300):
         premises = [random_formula(rng, 3, pool) for _ in range(rng.randint(1, 8))]
-        padded = [pad, *premises]
-        conclusion = random_formula(rng, 3, pool)
-        candidates = build_universe([conclusion], ("negations", "with_falsum"))
         answers.append(is_satisfiable(premises))
-        assert is_satisfiable(padded) == answers[-1], premises
+        assert is_satisfiable([*padding, *premises]) == answers[-1], premises
+        conclusion = random_formula(conclusions, 3, pool)
+        candidates = build_universe([conclusion], ("negations", "with_falsum"))
+        padded = [*padding, *premises]
         assert entails(padded, conclusion) == entails(premises, conclusion)
         assert classify(padded, candidates) == classify(premises, candidates)
         # The pad is in every MCS and keeps the canonical order.
         mcses = maximal_consistent_subsets(premises)
-        assert maximal_consistent_subsets(padded) == [
+        assert maximal_consistent_subsets([pad, *premises]) == [
             FormulaSet([pad, *m]) for m in mcses
         ]
-        got, want = para_entails(padded, conclusion), para_entails(premises, conclusion)
+        got = para_entails([pad, *premises], conclusion)
+        want = para_entails(premises, conclusion)
         assert (got and got.support) == (want and FormulaSet([pad, *want.support]))
     assert True in answers and False in answers
+
+
+@pytest.mark.parametrize("question", ["classify", "mcs"])
+def test_search_route_searches_only_the_chosen_names(question, monkeypatch):
+    # Seventeen names that {x, ~x} does not mention push each set past the
+    # table.  A search over them too would walk 2**17 valuations before it
+    # reached x; one over x alone is a two-row table.
+    pad, x = [Var(f"a{i:02}") for i in range(17)], Var("x")
+    search = classical._search
+
+    def own_names_only(formulas, names):
+        assert names == sorted(frozenset().union(*map(variables, formulas)))
+        return search(formulas, names)
+
+    monkeypatch.setattr(classical, "_search", own_names_only)
+    start = time.perf_counter()
+    if question == "classify":
+        verdict = classify([x, Not(x)], build_universe(pad, ("negations",)))
+        assert (verdict.consistent, verdict.contradictory) == (False, True)
+    else:
+        wide = reduce(And, pad)
+        assert maximal_consistent_subsets([wide, x, Not(x)]) == [
+            FormulaSet([wide, x]),
+            FormulaSet([wide, Not(x)]),
+        ]
+    assert time.perf_counter() - start < 2.0
 
 
 @given(st.lists(formula_strategy, max_size=4))
