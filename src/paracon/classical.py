@@ -14,12 +14,12 @@ the compiled set for meets and supports, or ask for row signatures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import CapExceededError
 from .formula import And, Formula, FormulaSet, Implies, Not, Or, Var, variables
+from .formula import _Record
 
 Valuation = Mapping[str, bool]
 
@@ -125,6 +125,8 @@ class _PremiseSet:
         if self.pattern is None:
             return None
         extra = sorted(variables(f).difference(self.names))
+        if not extra:
+            return self.rows(f)
         names = [*extra, *self.names]
         if len(names) > TABLE_VARIABLES:
             return None
@@ -259,13 +261,28 @@ def is_contradiction(f: Formula) -> bool:
     return not is_satisfiable([f])
 
 
-@dataclass(frozen=True)
-class SetClassification:
-    consistent: bool
-    contradictory: bool
-    strongly_contradictory: bool
-    paraconsistent: bool
-    witness: Optional[Formula]
+class SetClassification(_Record):
+    __slots__ = __match_args__ = (
+        "consistent",
+        "contradictory",
+        "strongly_contradictory",
+        "paraconsistent",
+        "witness",
+    )
+
+    def __init__(
+        self,
+        consistent: bool,
+        contradictory: bool,
+        strongly_contradictory: bool,
+        paraconsistent: bool,
+        witness: Optional[Formula],
+    ):
+        self._set("consistent", consistent)
+        self._set("contradictory", contradictory)
+        self._set("strongly_contradictory", strongly_contradictory)
+        self._set("paraconsistent", paraconsistent)
+        self._set("witness", witness)
 
 
 def classify(

@@ -146,7 +146,7 @@ def _cmd_structure_check(args) -> int:
         {
             "command": "structure check",
             "normal": normal,
-            "reports": [vars(r) for r in reports],
+            "reports": [{k: getattr(r, k) for k in r.__match_args__} for r in reports],
         },
         "\n".join(lines),
     )

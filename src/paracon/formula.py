@@ -19,7 +19,6 @@ so memory stays linear, and ``variables`` unions the sets kept below it).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import CapExceededError, ParseError
@@ -48,6 +47,37 @@ class Formula:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Record:
+    """Base of the immutable result records, whose fields are __match_args__.
+
+    Records compare equal only within one class, hash as the tuple of their
+    fields, and pickle and copy through their constructor.
+    """
+
+    __slots__ = ()
+    __setattr__ = Formula.__setattr__
+    __delattr__ = Formula.__delattr__
+    _set = object.__setattr__  # each __init__ sets its slots with self._set
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({', '.join(fields)})"
 
 
 def _vars_of(left: Formula, right: Formula) -> frozenset[str] | None:
@@ -375,28 +405,27 @@ def subformulas(f: Formula) -> Iterator[Formula]:
 # Formula sets and universes
 
 
-@dataclass(frozen=True, init=False)
-class FormulaSet:
+class FormulaSet(_Record):
     """Finite ordered set of distinct formulas (insertion order preserved)."""
 
-    items: tuple[Formula, ...]
+    __slots__ = __match_args__ = ("items",)
 
     def __init__(self, formulas: Iterable[Formula] = ()):
         if isinstance(formulas, FormulaSet):  # already distinct: no dedupe
-            object.__setattr__(self, "items", formulas.items)
+            self._set("items", formulas.items)
             return
         seen: dict[Formula, None] = {}  # insertion-ordered, with hashed membership
         for f in formulas:
             if not isinstance(f, Formula):
                 raise TypeError(f"not a Formula: {f!r}")
             seen[f] = None
-        object.__setattr__(self, "items", tuple(seen))
+        self._set("items", tuple(seen))
 
     @classmethod
     def _of_distinct(cls, items: tuple[Formula, ...]) -> FormulaSet:
         """Wrap formulas already known to be distinct, without a dedupe pass."""
         fs = cls.__new__(cls)
-        object.__setattr__(fs, "items", items)
+        fs._set("items", items)
         return fs
 
     def __iter__(self) -> Iterator[Formula]:

@@ -21,30 +21,33 @@ with classical entailment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .classical import SetClassification, _PremiseSet, classify_by, is_contradiction
 from .errors import CapExceededError
-from .formula import Formula, FormulaSet
+from .formula import Formula, FormulaSet, _Record
 from .structures import FiniteConsequenceStructure, sweep_table
 
 MCS_CAP = 20
 
 
-@dataclass(frozen=True)
-class FunctorOptions:
+class FunctorOptions(_Record):
     """inclusive=True additionally unions A itself into CnP(A)."""
 
-    inclusive: bool = False
+    __slots__ = __match_args__ = ("inclusive",)
+
+    def __init__(self, inclusive: bool = False):
+        self._set("inclusive", inclusive)
 
 
-@dataclass(frozen=True)
-class ParaWitness:
-    conclusion: Formula
-    support: FormulaSet
-    maximal: bool
+class ParaWitness(_Record):
+    __slots__ = __match_args__ = ("conclusion", "support", "maximal")
+
+    def __init__(self, conclusion: Formula, support: FormulaSet, maximal: bool):
+        self._set("conclusion", conclusion)
+        self._set("support", support)
+        self._set("maximal", maximal)
 
 
 def paraconsistentize_finite(

@@ -16,7 +16,6 @@ The table and both claim batteries are data over one set of columns:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -35,6 +34,7 @@ from .formula import (
     Not,
     Or,
     Var,
+    _Record,
     build_universe,
     render,
 )
@@ -64,20 +64,25 @@ FALSUM = And(P, Not(P))  # p & ~p
 PAIR = FormulaSet([P, Not(P)])
 
 
-@dataclass(frozen=True)
-class ClaimResult:
-    claim: str
-    verdict: str  # confirmed | refuted | not applicable
-    trials: int
-    evidence: dict[str, str]
+class ClaimResult(_Record):
+    __slots__ = __match_args__ = ("claim", "verdict", "trials", "evidence")
+
+    # verdict: confirmed | refuted | not applicable
+    def __init__(self, claim: str, verdict: str, trials: int, evidence: dict[str, str]):
+        self._set("claim", claim)
+        self._set("verdict", verdict)
+        self._set("trials", trials)
+        self._set("evidence", evidence)
 
 
-@dataclass(frozen=True)
-class TableRow:
-    name: str
-    holds_cn: bool
-    holds_cnp: bool
-    evidence: str
+class TableRow(_Record):
+    __slots__ = __match_args__ = ("name", "holds_cn", "holds_cnp", "evidence")
+
+    def __init__(self, name: str, holds_cn: bool, holds_cnp: bool, evidence: str):
+        self._set("name", name)
+        self._set("holds_cn", holds_cn)
+        self._set("holds_cnp", holds_cnp)
+        self._set("evidence", evidence)
 
 
 # Expected (classical, paraclassical) verdict per property row.

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .classical import row_signatures, tile
 from .errors import CapExceededError, StructureFormatError
-from .formula import FormulaSet, Not, falsum_of, render, variables
+from .formula import FormulaSet, Not, _Record, falsum_of, render, variables
 
 
 MAX_ATOMS = 16  # the largest domain of a structure, structure file or restriction
@@ -135,13 +134,22 @@ def is_consistent_in(
     return structure.cn_mask(structure.mask_of(subset)) != structure.full_mask
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    name: str
-    holds: bool
-    counterexample: Optional[tuple] = None
-    witness: Optional[object] = None
-    note: str = ""
+class AxiomReport(_Record):
+    __slots__ = __match_args__ = ("name", "holds", "counterexample", "witness", "note")
+
+    def __init__(
+        self,
+        name: str,
+        holds: bool,
+        counterexample: Optional[tuple] = None,
+        witness: Optional[object] = None,
+        note: str = "",
+    ):
+        self._set("name", name)
+        self._set("holds", holds)
+        self._set("counterexample", counterexample)
+        self._set("witness", witness)
+        self._set("note", note)
 
 
 AXIOMS = ("inclusion", "idempotency", "monotonicity", "finiteness")
@@ -186,19 +194,24 @@ def is_normal(structure: FiniteConsequenceStructure) -> bool:
     return all(check_axiom(structure, axiom).holds for axiom in NORMAL_AXIOMS)
 
 
-@dataclass(frozen=True)
-class HomomorphismCandidate:
-    source: FiniteConsequenceStructure
-    target: FiniteConsequenceStructure
-    mapping: Mapping[str, str]
+class HomomorphismCandidate(_Record):
+    __slots__ = __match_args__ = ("source", "target", "mapping")
 
-    def __post_init__(self):
-        missing = [a for a in self.source.domain if a not in self.mapping]
+    def __init__(
+        self,
+        source: FiniteConsequenceStructure,
+        target: FiniteConsequenceStructure,
+        mapping: Mapping[str, str],
+    ):
+        missing = [a for a in source.domain if a not in mapping]
         if missing:
             raise ValueError(f"mapping is not total; missing {missing}")
-        bad = [a for a in self.source.domain if self.mapping[a] not in self.target.domain]
+        bad = [a for a in source.domain if mapping[a] not in target.domain]
         if bad:
             raise ValueError(f"mapping sends {bad} outside the target domain")
+        self._set("source", source)
+        self._set("target", target)
+        self._set("mapping", mapping)
 
 
 def check_homomorphism(candidate: HomomorphismCandidate) -> AxiomReport:
